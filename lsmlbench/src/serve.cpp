@@ -5,12 +5,14 @@
 // queued behind it. The server pool plus the generator stay within nproc
 // threads and connections.
 //
-// Set-up learns three models of ~100, ~1000 and ~5000 ANDs through the
-// `learn` op. Traffic is mostly `eval` at 256 and 4096 rows across them,
-// plus a minority of heavy ops sharing the same pool: `learn` on fresh
-// datasets, `synth` and `cec`. Phases: a fixed offered rate (eval p50/p99,
-// heavy p50), then a rate ladder for the highest rate whose eval p99
-// meets kLatencyLimitMs with no growing backlog.
+// Set-up learns three models of ~100, ~600 and ~5000 ANDs through the
+// `learn` op. Traffic is mostly `eval` at 256 and 4096 rows, spread evenly
+// over them, plus a minority of heavy ops sharing the same pool: `learn` on
+// fresh datasets, `synth` and `cec`. The proportions of the mix and the
+// offered rate are assumptions, not taken from any recorded traffic.
+// Phases: a fixed offered rate (eval p50/p99, heavy p50), then a rate
+// ladder for the highest rate whose eval p99 meets kLatencyLimitMs with no
+// growing backlog.
 
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -23,7 +25,9 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <ctime>
 #include <deque>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -168,7 +172,22 @@ struct Outcome {
 struct PhaseResult {
   std::vector<Outcome> outcomes;
   std::vector<double> lateness_ms;
-  double cpu_s = 0.0;
+  double cpu_s = 0.0;  ///< process CPU minus the generator thread's
+  /// Per segment of a segmented phase: CPU ms per answered request.
+  std::vector<double> segment_cpu_ms;
+
+  void append(const PhaseResult& p) {
+    outcomes.insert(outcomes.end(), p.outcomes.begin(), p.outcomes.end());
+    lateness_ms.insert(lateness_ms.end(), p.lateness_ms.begin(),
+                       p.lateness_ms.end());
+    cpu_s += p.cpu_s;
+    std::size_t ok = 0;
+    for (const Outcome& o : p.outcomes) {
+      ok += o.ok ? 1 : 0;
+    }
+    segment_cpu_ms.push_back(ok > 0 ? p.cpu_s * 1e3 / static_cast<double>(ok)
+                                    : 0.0);
+  }
 
   /// Requests answered later than `t` seconds after the phase start.
   [[nodiscard]] std::size_t answered_after(double t) const {
@@ -228,20 +247,18 @@ class Generator {
 
   /// Sends request `schedule[i]` (an index into `bodies`) at `offsets_s[i]`
   /// seconds from now, whatever the server does, and returns once every
-  /// request is answered. With `closed_window` > 0 the offsets are ignored
-  /// instead: requests go out whenever fewer than that many are in flight,
-  /// until `offsets_s.back()` seconds have passed (a saturating closed
-  /// loop). `record_lines` keeps every response line; `cec_out` the cec
-  /// responses with their payload index.
+  /// request is answered. `record_lines` keeps every response line;
+  /// `heavy_out` the heavy-op responses with their payload index. The
+  /// phase's CPU leaves out this (the calling) thread, so it is the
+  /// server's alone.
   PhaseResult run(const std::vector<std::size_t>& schedule,
                   const std::vector<double>& offsets_s,
                   const std::vector<std::string>& bodies,
                   const std::vector<Kind>& kinds,
                   std::vector<std::string>* record_lines,
-                  std::vector<std::pair<std::size_t, std::string>>* cec_out,
-                  std::size_t closed_window = 0) {
+                  std::vector<std::pair<std::size_t, std::string>>* heavy_out) {
     PhaseResult res;
-    const double cpu0 = process_cpu_s();
+    const double cpu0 = process_cpu_s() - thread_cpu_s();
     const auto start = Clock::now();
     const auto at = [&](double s) {
       return start + std::chrono::duration_cast<Clock::duration>(
@@ -258,13 +275,8 @@ class Generator {
       if (now > give_up) {
         throw std::runtime_error("server left requests unanswered for 60 s");
       }
-      if (closed_window > 0 && now >= at(offsets_s.back())) {
-        next = schedule.size();  // closed loop: the time is up
-      }
-      while (next < schedule.size() &&
-             (closed_window > 0 ? outstanding < closed_window
-                                : at(offsets_s[next]) <= now)) {
-        const auto due = closed_window > 0 ? now : at(offsets_s[next]);
+      while (next < schedule.size() && at(offsets_s[next]) <= now) {
+        const auto due = at(offsets_s[next]);
         res.lateness_ms.push_back(
             std::chrono::duration<double, std::milli>(now - due).count());
         Conn* conn = &conns_[0];
@@ -288,14 +300,18 @@ class Generator {
         pfds[i] = {conns_[i].fd,
                    static_cast<short>(POLLIN | (pending ? POLLOUT : 0)), 0};
       }
-      int timeout_ms = 50;
-      if (next < schedule.size() && closed_window == 0) {
-        const double wait =
-            std::chrono::duration<double, std::milli>(at(offsets_s[next]) - now)
-                .count();
-        timeout_ms = std::clamp(static_cast<int>(wait), 0, 50);
+      // Sleep until the next send is due (to the nanosecond, so the wait
+      // never turns into a spin), a response arrives, or 50 ms pass.
+      std::chrono::nanoseconds wait = std::chrono::milliseconds(50);
+      if (next < schedule.size()) {
+        wait = std::clamp(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              at(offsets_s[next]) - now),
+                          std::chrono::nanoseconds(0), wait);
       }
-      const int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
+      const timespec timeout{
+          static_cast<std::time_t>(wait.count() / 1'000'000'000),
+          static_cast<long>(wait.count() % 1'000'000'000)};
+      const int n = ::ppoll(pfds.data(), pfds.size(), &timeout, nullptr);
       if (n < 0 && errno != EINTR) {
         throw std::runtime_error("poll failed");
       }
@@ -332,15 +348,15 @@ class Generator {
           if (record_lines != nullptr) {
             record_lines->emplace_back(line);
           }
-          if (cec_out != nullptr && kinds[s.payload] == Kind::kCec) {
-            cec_out->emplace_back(s.payload, std::string(line));
+          if (heavy_out != nullptr && kinds[s.payload] != Kind::kEval) {
+            heavy_out->emplace_back(s.payload, std::string(line));
           }
           pos = nl + 1;
         }
         c.in.erase(0, pos);
       }
     }
-    res.cpu_s = process_cpu_s() - cpu0;
+    res.cpu_s = process_cpu_s() - thread_cpu_s() - cpu0;
     return res;
   }
 
@@ -352,6 +368,12 @@ class Generator {
     std::string in;
     std::deque<Sent> inflight;
   };
+
+  static double thread_cpu_s() {
+    timespec ts{};
+    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) / 1e9;
+  }
 
   static void flush(Conn& c) {
     while (c.out_off < c.out.size()) {
@@ -389,29 +411,60 @@ class Generator {
   std::int64_t next_id_ = 1;
 };
 
-/// Poisson arrivals at `rps` for `seconds`, each request drawn from the
-/// traffic mix.
-void make_schedule(double rps, double seconds, double heavy_frac,
-                   std::size_t evals, std::size_t heavies,
-                   std::size_t* heavy_cursor, core::Rng& rng,
+/// What each request in turn carries, as an index into the request table
+/// (evals first, then heavies). Exactly every 1/heavy_frac-th request is
+/// heavy, rotating through the heavy payloads so a repeat (a model-store or
+/// memo hit) only comes after every other one was sent; evals cycle
+/// through a seeded shuffle of the eval payloads. Every run thus sends the
+/// mix in the same proportions and only the arrival times are random.
+class Mix {
+ public:
+  Mix(std::size_t evals, std::size_t heavies, double heavy_frac,
+      core::Rng& rng)
+      : order_(evals), evals_(evals), heavies_(heavies), frac_(heavy_frac) {
+    for (std::size_t i = 0; i < evals; ++i) {
+      order_[i] = i;
+    }
+    for (std::size_t i = evals; i > 1; --i) {
+      std::swap(order_[i - 1], order_[rng.below(i)]);
+    }
+  }
+
+  std::size_t next() {
+    const double i = static_cast<double>(sent_++);
+    if (heavies_ > 0 &&
+        std::floor((i + 1) * frac_) > std::floor(i * frac_)) {
+      return evals_ + heavy_next_++ % heavies_;
+    }
+    return order_[eval_next_++ % evals_];
+  }
+
+ private:
+  std::vector<std::size_t> order_;
+  std::size_t evals_;
+  std::size_t heavies_;
+  double frac_;
+  std::size_t sent_ = 0;
+  std::size_t eval_next_ = 0;
+  std::size_t heavy_next_ = 0;
+};
+
+/// Poisson arrivals at `rps` for `seconds` or until there are
+/// `max_requests`, each carrying `mix.next()`.
+void make_schedule(double rps, double seconds, std::size_t max_requests,
+                   Mix& mix, core::Rng& rng,
                    std::vector<std::size_t>* schedule,
                    std::vector<double>* offsets) {
   schedule->clear();
   offsets->clear();
   double t = 0.0;
-  while (true) {
+  while (offsets->size() < max_requests) {
     t += -std::log(1.0 - rng.uniform()) / rps;
     if (t >= seconds) {
       break;
     }
     offsets->push_back(t);
-    if (heavies > 0 && rng.flip(heavy_frac)) {
-      // Heavy payloads rotate so a repeat (a model-store or memo hit) only
-      // comes after every other one was sent.
-      schedule->push_back(evals + (*heavy_cursor)++ % heavies);
-    } else {
-      schedule->push_back(rng.below(evals));
-    }
+    schedule->push_back(mix.next());
   }
 }
 
@@ -458,7 +511,7 @@ Report run_serve(const Args& args) {
     models.push_back(std::move(m));
   }
 
-  // Set-up: server start plus the three initial learns, three times, each
+  // Set-up: server start plus the three initial learns, five times, each
   // cold (PassManager memo cleared); the median counts.
   const auto start_server = [&]() {
     synth::PassManager::clear_memo();
@@ -484,7 +537,7 @@ Report run_serve(const Args& args) {
   };
   std::vector<double> setup_s;
   std::unique_ptr<server::Server> srv;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 5; ++i) {
     if (srv) {
       srv->stop();
       srv.reset();
@@ -530,17 +583,13 @@ Report run_serve(const Args& args) {
   std::vector<std::string> bodies;
   std::vector<Kind> kinds;
   std::vector<Payload> heavy;
-  // Eval payloads weigh the models 1:1:3 (the largest model takes 60% of
-  // the evals), so the median eval falls inside one cost cluster instead
-  // of between two.
-  const int model_weight[] = {1, 1, 3};
+  // Every model gets the same number of eval payloads, three in four of
+  // 256 rows and one in four of 4096.
   for (int v = 0; v < cfg.payloads; ++v) {
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      for (int w = 0; w < model_weight[m]; ++w) {
-        const std::size_t rows = v % 4 == 3 ? 4096 : 256;
-        bodies.push_back(eval_line(models[m].id, models[m].inputs, rows, rng));
-        kinds.push_back(Kind::kEval);
-      }
+    for (const Model& m : models) {
+      const std::size_t rows = v % 4 == 3 ? 4096 : 256;
+      bodies.push_back(eval_line(m.id, m.inputs, rows, rng));
+      kinds.push_back(Kind::kEval);
     }
   }
   const std::size_t evals = bodies.size();
@@ -548,8 +597,8 @@ Report run_serve(const Args& args) {
   double aag_s = 0.0;
   for (int v = 0; v < cfg.heavy_payloads; ++v) {
     Payload p;
-    // Heavy kinds rotate learn, synth x3, cec: the median heavy op is a
-    // synth, not a boundary between kinds.
+    // Heavy kinds rotate learn, synth x3, cec: synths get the most
+    // samples because the gated `ands` is the mean over their answers.
     const int slot = v % 5;
     p.kind = slot == 0 ? Kind::kLearn : slot == 4 ? Kind::kCec : Kind::kSynth;
     Json req = Json::object();
@@ -606,18 +655,40 @@ Report run_serve(const Args& args) {
 
   Generator gen(srv->port(), eval_conns);
   const double window = args.trace ? args.seconds / 2 : args.seconds;
-  const double fixed_s = args.trace ? window : 0.6 * window;
+  const double fixed_s = args.trace ? window : 0.7 * window;
 
-  std::vector<std::size_t> schedule;
-  std::vector<double> offsets;
+  // The fixed-rate phase runs as segments of kSegmentRequests requests (15
+  // heavy ops, three of each heavy slot), each drained before the next.
+  // cpu_ms_per_op is the median of the segments' CPU per request, so a
+  // burst of noise from the host moves one segment, not the result.
+  constexpr std::size_t kSegmentRequests = 500;
+  const double never = std::numeric_limits<double>::infinity();
+  const auto planned =
+      static_cast<std::size_t>(std::llround(fixed_s * cfg.fixed_rps));
+  const std::size_t segment_n =
+      std::clamp<std::size_t>(planned, 1, kSegmentRequests);
+  struct Segment {
+    std::vector<std::size_t> schedule;
+    std::vector<double> offsets;
+  };
+  std::vector<Segment> plan(std::max<std::size_t>(1, planned / segment_n));
+  Mix mix(evals, heavies, cfg.heavy_frac, rng);
+  for (Segment& seg : plan) {
+    make_schedule(cfg.fixed_rps, never, segment_n, mix, rng, &seg.schedule,
+                  &seg.offsets);
+  }
+  const auto run_plan = [&](Generator& g, std::vector<std::string>* lines,
+                            std::vector<std::pair<std::size_t, std::string>>*
+                                heavy_out) {
+    PhaseResult all;
+    for (const Segment& seg : plan) {
+      all.append(
+          g.run(seg.schedule, seg.offsets, bodies, kinds, lines, heavy_out));
+    }
+    return all;
+  };
   std::vector<std::string> response_lines;
-  std::vector<std::pair<std::size_t, std::string>> cec_responses;
-  std::size_t heavy_cursor = 0;
-  make_schedule(cfg.fixed_rps, fixed_s, cfg.heavy_frac, evals, heavies,
-                &heavy_cursor, rng,
-                &schedule, &offsets);
-  const std::vector<std::size_t> fixed_schedule = schedule;
-  const std::vector<double> fixed_offsets = offsets;
+  std::vector<std::pair<std::size_t, std::string>> heavy_responses;
   const RegistrySnapshot before = RegistrySnapshot::take();
   std::map<std::string, std::vector<std::uint64_t>> hist_before;
   const std::vector<std::string> hists = {
@@ -627,9 +698,9 @@ Report run_serve(const Args& args) {
   for (const std::string& h : hists) {
     hist_before[h] = histogram_buckets(h);
   }
-  const PhaseResult fixed =
-      gen.run(schedule, offsets, bodies, kinds, &response_lines,
-              &cec_responses);
+  const auto phase_start = Clock::now();
+  const PhaseResult fixed = run_plan(
+      gen, args.trace ? &response_lines : nullptr, &heavy_responses);
   const RegistrySnapshot delta = RegistrySnapshot::take().minus(before);
 
   const auto count_ops = [&](const PhaseResult& p) {
@@ -641,8 +712,13 @@ Report run_serve(const Args& args) {
   };
   count_ops(fixed);
   // cec verdicts against the known answers, counterexamples replayed.
-  for (const auto& [index, line] : cec_responses) {
+  std::vector<std::string> cec_lines;
+  for (const auto& [index, line] : heavy_responses) {
     const Payload& p = heavy[index - evals];
+    if (p.kind != Kind::kCec) {
+      continue;
+    }
+    cec_lines.push_back(line);
     const Json resp = Json::parse(line);
     if (!resp.at("ok").as_bool()) {
       continue;  // already counted as a failed cec
@@ -674,8 +750,11 @@ Report run_serve(const Args& args) {
     answered += o.ok ? 1 : 0;
   }
 
+  // Peak RSS through set-up and the fixed-rate phase, before the ladder,
+  // whose climb (and the memory its backlog holds) depends on timing.
+  const double rss_mb = peak_rss_mb();
   r.set("setup_s", median(setup_s), "s");
-  r.set("peak_rss_mb", peak_rss_mb(), "MB");
+  r.set("peak_rss_mb", rss_mb, "MB");
   r.set("serve.offered_rps", cfg.fixed_rps, "1/s");
   r.set("serve.eval_p50_ms", median(eval_ms), "ms");
   r.set("serve.eval_p99_ms", quantile(eval_ms, 0.99), "ms");
@@ -700,8 +779,18 @@ Report run_serve(const Args& args) {
     model_ands.push_back(static_cast<double>(m.ands));
   }
   r.e2e["setup_s"] = median(setup_s);
-  r.e2e["cpu_ms_per_op"] =
-      answered > 0 ? fixed.cpu_s * 1e3 / static_cast<double>(answered) : 0;
+  r.e2e["peak_rss_mb"] = rss_mb;
+  r.set("serve.cpu_ms_per_op_mean",
+        answered > 0 ? fixed.cpu_s * 1e3 / static_cast<double>(answered) : 0,
+        "ms");
+  r.e2e["cpu_ms_per_op"] = median(fixed.segment_cpu_ms);
+  std::ostringstream segs;
+  segs << plan.size() << " fixed-rate segments of " << segment_n
+       << " requests, CPU ms per request:";
+  for (const double ms : fixed.segment_cpu_ms) {
+    segs << ' ' << ms;
+  }
+  r.notes.push_back(segs.str());
   std::size_t in_limit = 0;
   for (const double ms : eval_ms) {
     in_limit += ms <= kLatencyLimitMs ? 1 : 0;
@@ -715,8 +804,8 @@ Report run_serve(const Args& args) {
   // fixed-rate phase (dozens of cones, where three models would leave the
   // mean to the seed).
   std::vector<double> synth_ands;
-  for (const std::string& line : response_lines) {
-    if (line.find("\"type\":\"synth\"") != std::string::npos) {
+  for (const auto& [index, line] : heavy_responses) {
+    if (heavy[index - evals].kind == Kind::kSynth) {
       synth_ands.push_back(
           static_cast<double>(Json::parse(line).at("ands").as_int()));
     }
@@ -729,17 +818,15 @@ Report run_serve(const Args& args) {
     // Rate ladder: x1.25 steps up from the fixed rate while a step keeps
     // eval p99 within kLatencyLimitMs, every request ok, and every request
     // answered within 0.25 s of the step's end (no growing backlog). The
-    // highest passing rate is serve.max_rps. A last step keeps four evals
-    // per eval connection in flight (closed loop, no heavy ops): the evals
-    // it completes per second are the saturation throughput.
+    // highest passing rate is serve.max_rps.
     const double step_s = 2.0;
     double rate = cfg.fixed_rps;
     double max_rps = 0.0;
-    const auto ladder_start = Clock::now();
-    const double ladder_s = window - fixed_s;
-    while (seconds_since(ladder_start) + 3 * step_s < ladder_s) {
-      make_schedule(rate, step_s, cfg.heavy_frac, evals, heavies,
-                    &heavy_cursor, rng, &schedule, &offsets);
+    std::vector<std::size_t> schedule;
+    std::vector<double> offsets;
+    while (seconds_since(phase_start) + 2 * step_s <= window) {
+      make_schedule(rate, step_s, std::numeric_limits<std::size_t>::max(),
+                    mix, rng, &schedule, &offsets);
       const PhaseResult step =
           gen.run(schedule, offsets, bodies, kinds, nullptr, nullptr);
       count_ops(step);
@@ -753,20 +840,8 @@ Report run_serve(const Args& args) {
       max_rps = rate;
       rate *= 1.25;
     }
-    make_schedule(50000, step_s, 0.0, evals, heavies, &heavy_cursor, rng,
-                  &schedule, &offsets);
-    const PhaseResult probe =
-        gen.run(schedule, offsets, bodies, kinds, nullptr, nullptr,
-                4 * static_cast<std::size_t>(eval_conns));
-    count_ops(probe);
-    const double saturated =
-        static_cast<double>(probe.outcomes.size() -
-                            probe.answered_after(step_s)) /
-        step_s;
     r.set("serve.max_rps", max_rps, "1/s");
-    r.set("serve.saturated_rps", saturated, "1/s");
   }
-  r.e2e["peak_rss_mb"] = peak_rss_mb();
 
   if (args.trace) {
     fill_registry_layers(delta, &r);
@@ -792,13 +867,12 @@ Report run_serve(const Args& args) {
                      : 0;
     r.layer["aig.read_aag_mb_per_s"] = aag_s > 0 ? aag_bytes / 1e6 / aag_s : 0;
     int undecided = 0;
-    for (const auto& [index, line] : cec_responses) {
+    for (const std::string& line : cec_lines) {
       undecided += line.find("\"undecided\"") != std::string::npos ? 1 : 0;
     }
     r.layer["sat.undecided_frac"] =
-        cec_responses.empty()
-            ? 0.0
-            : static_cast<double>(undecided) / cec_responses.size();
+        cec_lines.empty() ? 0.0
+                          : static_cast<double>(undecided) / cec_lines.size();
 
     // JSON layer: parse and dump the recorded request and response lines.
     std::vector<std::string> lines(bodies.begin(), bodies.end());
@@ -820,7 +894,7 @@ Report run_serve(const Args& args) {
     r.layer["json.parse_mb_per_s"] = parse_s > 0 ? bytes / 1e6 / parse_s : 0;
     r.layer["json.dump_mb_per_s"] = dump_s > 0 ? dumped / 1e6 / dump_s : 0;
 
-    // Traced: the same fixed-rate schedule again with the tracer on, on a
+    // Traced: the same fixed-rate segments again with the tracer on, on a
     // fresh server so heavy ops are not served from the first phase's
     // model store or synth memo.
     srv->stop();
@@ -828,15 +902,12 @@ Report run_serve(const Args& args) {
     PhaseResult traced_phase;
     const auto spans = traced([&] {
       Generator traced_gen(srv->port(), eval_conns);
-      traced_phase = traced_gen.run(fixed_schedule, fixed_offsets, bodies,
-                                    kinds, nullptr, nullptr);
+      traced_phase = run_plan(traced_gen, nullptr, nullptr);
     });
     count_ops(traced_phase);
-    const auto cpu_per_req = [](const PhaseResult& p) {
-      return p.cpu_s / std::max<double>(1, p.outcomes.size());
-    };
-    r.layer["obs.overhead_frac"] =
-        cpu_per_req(traced_phase) / cpu_per_req(fixed) - 1.0;
+    r.layer["obs.overhead_frac"] = median(traced_phase.segment_cpu_ms) /
+                                       median(fixed.segment_cpu_ms) -
+                                   1.0;
     const auto solve = spans.find("solve");
     r.layer["sat.solve_s"] = solve == spans.end() ? 0.0 : solve->second.total_s;
     fill_trace_layers(
