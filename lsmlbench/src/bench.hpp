@@ -109,6 +109,19 @@ double geomean(const std::vector<double>& v);
 double seconds_since(Clock::time_point t0);
 /// User + system CPU seconds of this process.
 double process_cpu_s();
+/// CPU seconds of the calling thread.
+double thread_cpu_s();
+/// Runs `units` timed units, after one untimed one that warms the caches,
+/// of a fixed reference computation that no lsml code shares (bit-parallel
+/// simulation of a constant random AND graph plus structural-hash lookups
+/// over it, ~1 MB of data) and returns the calling thread's CPU
+/// milliseconds per unit. A shared host's speed drifts by more than a
+/// regression bound from one minute to the next; dividing a workload's CPU
+/// by this, timed beside it, leaves the program's own cost. With `threads`
+/// > 1 every one of that many threads runs the units at once, so the
+/// figure samples every core a multi-threaded workload may use; the result
+/// is their mean. Call it from one thread at a time.
+double reference_unit_ms(int units, int threads = 1);
 /// Peak resident set size of this process, MiB.
 double peak_rss_mb();
 int hardware_threads();

@@ -5,8 +5,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -26,7 +28,7 @@ namespace fs = std::filesystem;
 using lsml::server::Json;
 
 const std::vector<MetricSpec> kEndToEnd = {
-    {"setup_s", "s"},       {"peak_rss_mb", "MB"}, {"cpu_ms_per_op", "ms"},
+    {"setup_s", "s"},       {"peak_rss_mb", "MB"}, {"cpu_per_op_ref", "ref"},
     {"quality_pct", "%"},   {"ands", "count"},
 };
 
@@ -162,6 +164,120 @@ double process_cpu_s() {
     return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_usec) / 1e6;
   };
   return tv(ru.ru_utime) + tv(ru.ru_stime);
+}
+
+double thread_cpu_s() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
+namespace {
+
+/// The reference computation's data: a random AND graph whose fanins
+/// mostly sit close below each node (as in a levelized AIG), and an
+/// open-addressing table from fanin pairs to nodes. Built once, the same
+/// in every run and every build of the program.
+struct ReferenceGraph {
+  static constexpr std::uint32_t kPis = 64;
+  static constexpr std::uint32_t kNodes = 1u << 15;
+  std::vector<std::uint32_t> fanin0, fanin1;  ///< literal: 2 * node + compl
+  std::vector<std::uint64_t> table;           ///< (f0 << 32 | f1) + 1, or 0
+
+  ReferenceGraph() : fanin0(kNodes), fanin1(kNodes), table(2 * kNodes, 0) {
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    const auto next = [&x] {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      return x;
+    };
+    for (std::uint32_t v = kPis; v < kNodes; ++v) {
+      const auto pick = [&] {
+        const std::uint64_t r = next();
+        const std::uint32_t back =
+            (r & 3) == 0 ? 1 + static_cast<std::uint32_t>((r >> 2) % v)
+                         : 1 + static_cast<std::uint32_t>((r >> 2) % 64);
+        const std::uint32_t node = back >= v ? 0 : v - back;
+        return 2 * node + static_cast<std::uint32_t>((r >> 40) & 1);
+      };
+      fanin0[v] = pick();
+      fanin1[v] = pick();
+      std::uint64_t slot = hash(fanin0[v], fanin1[v]);
+      while (table[slot] != 0) {
+        slot = (slot + 1) & (table.size() - 1);
+      }
+      table[slot] = (static_cast<std::uint64_t>(fanin0[v]) << 32 | fanin1[v]) + 1;
+    }
+  }
+
+  [[nodiscard]] std::uint64_t hash(std::uint32_t a, std::uint32_t b) const {
+    return ((static_cast<std::uint64_t>(a) * 0x9e3779b97f4a7c15ull) ^
+            (static_cast<std::uint64_t>(b) * 0xc2b2ae3d27d4eb4full)) >>
+               40 &
+           (table.size() - 1);
+  }
+
+  /// One unit: simulate every node on a fresh word into `value` (kNodes
+  /// words), then look every node's fanin pair up in the table.
+  std::uint64_t unit(std::uint64_t seed, std::uint64_t* value) const {
+    for (std::uint32_t v = 0; v < kPis; ++v) {
+      seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+      value[v] = seed;
+    }
+    const auto lit = [&](std::uint32_t l) {
+      return value[l >> 1] ^ (0 - static_cast<std::uint64_t>(l & 1));
+    };
+    for (std::uint32_t v = kPis; v < kNodes; ++v) {
+      value[v] = lit(fanin0[v]) & lit(fanin1[v]);
+    }
+    std::uint64_t found = 0;
+    for (std::uint32_t v = kPis; v < kNodes; ++v) {
+      const std::uint32_t a = fanin0[v] ^ static_cast<std::uint32_t>(value[v] & 2);
+      const std::uint64_t key =
+          (static_cast<std::uint64_t>(a) << 32 | fanin1[v]) + 1;
+      std::uint64_t slot = hash(a, fanin1[v]);
+      while (table[slot] != 0 && table[slot] != key) {
+        slot = (slot + 1) & (table.size() - 1);
+      }
+      found += table[slot] == key ? 1 : 0;
+    }
+    return found ^ value[kNodes - 1];
+  }
+};
+
+}  // namespace
+
+double reference_unit_ms(int units, int threads) {
+  static const ReferenceGraph graph;
+  // One simulation buffer per thread, kept from call to call so that the
+  // reference does not churn the allocator the measured program shares.
+  static std::vector<std::uint64_t> values;
+  static std::atomic<std::uint64_t> sink{0};
+  const std::size_t n = static_cast<std::size_t>(std::max(threads, 1));
+  values.resize(std::max(values.size(), n * ReferenceGraph::kNodes));
+  std::vector<double> ms(n);
+  const auto run = [&](std::size_t t) {
+    std::uint64_t* value = values.data() + t * ReferenceGraph::kNodes;
+    // An untimed first unit brings the data into this core's caches, so
+    // the figure does not depend on what ran here before.
+    std::uint64_t acc = graph.unit(t, value);
+    const double t0 = thread_cpu_s();
+    for (int i = 0; i < units; ++i) {
+      acc += graph.unit(acc + static_cast<std::uint64_t>(i), value);
+    }
+    ms[t] = (thread_cpu_s() - t0) * 1e3 / std::max(units, 1);
+    sink.fetch_add(acc, std::memory_order_relaxed);
+  };
+  std::vector<std::thread> pool;
+  for (std::size_t t = 1; t < n; ++t) {
+    pool.emplace_back(run, t);
+  }
+  run(0);
+  for (std::thread& t : pool) {
+    t.join();
+  }
+  return mean(ms);
 }
 
 double peak_rss_mb() {

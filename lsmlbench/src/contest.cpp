@@ -30,6 +30,9 @@ namespace {
 using namespace lsml;
 
 constexpr std::uint32_t kAndCap = 5000;
+/// Reference units timed before and after each cold run, on as many
+/// threads as the runner's workers.
+constexpr int kRefUnits = 200;
 
 /// Wall time of every Learner::fit the contest makes (one per task).
 struct FitLog {
@@ -106,6 +109,9 @@ Config config_for(const Args& args) {
 struct Rep {
   double wall_s = 0.0;
   double cpu_s = 0.0;
+  /// Reference-computation CPU ms per unit, timed before and after the
+  /// cold run (mean of the two).
+  double unit_ms = 0.0;
   double rerun_s = 0.0;
   suite::RunnerReport report;
   std::string leaderboard;  ///< csv + json bytes of the cold run
@@ -190,11 +196,14 @@ Report run_contest(const Args& args) {
       }
       rep.pla_parse_s = seconds_since(t0);
     }
+    const double unit0 = reference_unit_ms(kRefUnits, opts.num_threads);
     const double cpu0 = process_cpu_s();
     const auto t0 = Clock::now();
     rep.report = suite::run_suite_dir(suite_dir, entries, opts);
     rep.wall_s = seconds_since(t0);
     rep.cpu_s = process_cpu_s() - cpu0;
+    rep.unit_ms =
+        (unit0 + reference_unit_ms(kRefUnits, opts.num_threads)) / 2;
     rep.leaderboard = read_file(rep.report.leaderboard_csv_path) +
                       read_file(rep.report.leaderboard_json_path);
     // Warm reruns over the cold run's cache; the median of five counts.
@@ -298,7 +307,15 @@ Report run_contest(const Args& args) {
 
   r.e2e["setup_s"] = median(setup_s);
   r.e2e["peak_rss_mb"] = peak_rss_mb();
-  r.e2e["cpu_ms_per_op"] = median(cpu) * 1e3 / static_cast<double>(tasks);
+  std::vector<double> ref_per_op;
+  std::vector<double> unit_ms;
+  for (const Rep& rep : reps) {
+    ref_per_op.push_back(rep.cpu_s * 1e3 / static_cast<double>(tasks) /
+                         rep.unit_ms);
+    unit_ms.push_back(rep.unit_ms);
+  }
+  r.set("reference_unit_ms", median(unit_ms), "ms");
+  r.e2e["cpu_per_op_ref"] = median(ref_per_op);
   r.e2e["quality_pct"] = 100.0 * mean_acc;
   r.e2e["ands"] = mean_ands;
 

@@ -175,6 +175,11 @@ struct PhaseResult {
   double cpu_s = 0.0;  ///< process CPU minus the generator thread's
   /// Per segment of a segmented phase: CPU ms per answered request.
   std::vector<double> segment_cpu_ms;
+  /// Per segment: the reference computation's CPU ms per unit, timed just
+  /// before and just after it (mean of the two), and the segment's CPU per
+  /// request in those units.
+  std::vector<double> segment_unit_ms;
+  std::vector<double> segment_ref_per_op;
 
   void append(const PhaseResult& p) {
     outcomes.insert(outcomes.end(), p.outcomes.begin(), p.outcomes.end());
@@ -368,12 +373,6 @@ class Generator {
     std::string in;
     std::deque<Sent> inflight;
   };
-
-  static double thread_cpu_s() {
-    timespec ts{};
-    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) / 1e9;
-  }
 
   static void flush(Conn& c) {
     while (c.out_off < c.out.size()) {
@@ -659,9 +658,14 @@ Report run_serve(const Args& args) {
 
   // The fixed-rate phase runs as segments of kSegmentRequests requests (15
   // heavy ops, three of each heavy slot), each drained before the next.
-  // cpu_ms_per_op is the median of the segments' CPU per request, so a
-  // burst of noise from the host moves one segment, not the result.
+  // cpu_per_op_ref is the median of the segments' CPU per request in
+  // reference units, so a burst of noise from the host moves one segment,
+  // not the result.
   constexpr std::size_t kSegmentRequests = 500;
+  // Reference units timed before and after each segment, server idle, on
+  // as many threads as the server and generator run: ~0.1 s each time.
+  constexpr int kRefUnits = 200;
+  const int ref_threads = pool + 2;
   const double never = std::numeric_limits<double>::infinity();
   const auto planned =
       static_cast<std::size_t>(std::llround(fixed_s * cfg.fixed_rps));
@@ -682,8 +686,13 @@ Report run_serve(const Args& args) {
                                 heavy_out) {
     PhaseResult all;
     for (const Segment& seg : plan) {
+      const double unit0 = reference_unit_ms(kRefUnits, ref_threads);
       all.append(
           g.run(seg.schedule, seg.offsets, bodies, kinds, lines, heavy_out));
+      const double unit_ms =
+          (unit0 + reference_unit_ms(kRefUnits, ref_threads)) / 2;
+      all.segment_unit_ms.push_back(unit_ms);
+      all.segment_ref_per_op.push_back(all.segment_cpu_ms.back() / unit_ms);
     }
     return all;
   };
@@ -783,11 +792,17 @@ Report run_serve(const Args& args) {
   r.set("serve.cpu_ms_per_op_mean",
         answered > 0 ? fixed.cpu_s * 1e3 / static_cast<double>(answered) : 0,
         "ms");
-  r.e2e["cpu_ms_per_op"] = median(fixed.segment_cpu_ms);
+  r.set("serve.cpu_ms_per_op", median(fixed.segment_cpu_ms), "ms");
+  r.set("reference_unit_ms", median(fixed.segment_unit_ms), "ms");
+  r.e2e["cpu_per_op_ref"] = median(fixed.segment_ref_per_op);
   std::ostringstream segs;
   segs << plan.size() << " fixed-rate segments of " << segment_n
        << " requests, CPU ms per request:";
   for (const double ms : fixed.segment_cpu_ms) {
+    segs << ' ' << ms;
+  }
+  segs << "; reference unit ms:";
+  for (const double ms : fixed.segment_unit_ms) {
     segs << ' ' << ms;
   }
   r.notes.push_back(segs.str());
@@ -905,8 +920,8 @@ Report run_serve(const Args& args) {
       traced_phase = run_plan(traced_gen, nullptr, nullptr);
     });
     count_ops(traced_phase);
-    r.layer["obs.overhead_frac"] = median(traced_phase.segment_cpu_ms) /
-                                       median(fixed.segment_cpu_ms) -
+    r.layer["obs.overhead_frac"] = median(traced_phase.segment_ref_per_op) /
+                                       median(fixed.segment_ref_per_op) -
                                    1.0;
     const auto solve = spans.find("solve");
     r.layer["sat.solve_s"] = solve == spans.end() ? 0.0 : solve->second.total_s;

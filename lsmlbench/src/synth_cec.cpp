@@ -72,8 +72,8 @@ Config config_for(const Args& args) {
     return c;
   }
   // SAT cost grows steeply with size on the XOR-rich and arithmetic
-  // flavors, so their cones stay smaller; eight of each slot.
-  for (int rep = 0; rep < 8; ++rep) {
+  // flavors, so their cones stay smaller; ten of each slot.
+  for (int rep = 0; rep < 10; ++rep) {
     for (const std::uint32_t n : {100u, 200u, 400u, 800u, 1600u}) {
       c.cones.emplace_back(n, F::kRandom);
     }
@@ -84,7 +84,10 @@ Config config_for(const Args& args) {
       c.cones.emplace_back(n, F::kArith);
     }
   }
-  c.learn_ids = {52, 63, 68, 84};
+  // Benchmarks whose rf circuit takes at most ~0.4 s through resyn2fs and
+  // verification; on some others (ex50, ex70, ex71, ex73, ex74) a single
+  // one takes 3 to 11 s and would decide the corpus's cost.
+  c.learn_ids = {54, 56, 57, 58, 59, 66, 67, 68, 69, 84};
   c.rows = 150;
   c.teams = {2, 9};
   c.contest_ids = {61, 66};
@@ -283,6 +286,13 @@ Report run_synth_cec(const Args& args) {
   int decided = 0;
   double cpu_s = 0.0;
   int circuits_done = 0;
+  // Before each circuit the reference computation runs kRefUnits timed
+  // units; each pass's CPU per circuit in reference units is one sample.
+  constexpr int kRefUnits = 3;
+  double ref_ms = 0.0;
+  double ref_wall_s = 0.0;  ///< all passes; left out of the pass times
+  std::vector<double> pass_ref_per_op;
+  std::vector<double> pass_unit_ms;
   std::map<std::string, double> kind_s;  ///< synth + cec time per kind
 
   // One pass = every circuit once; passes repeat while the window lasts
@@ -292,6 +302,11 @@ Report run_synth_cec(const Args& args) {
     const bool first = first_pass_hashes.empty();
     for (std::size_t i = 0; i < corpus.size(); ++i) {
       const Circuit& c = corpus[i];
+      if (record) {
+        const auto r0 = Clock::now();
+        ref_ms += reference_unit_ms(kRefUnits);
+        ref_wall_s += seconds_since(r0);
+      }
       BenchSpan circuit_span("circuit");
       const double cpu0 = process_cpu_s();
       OpCount& synth_op = r.op("synth");
@@ -368,12 +383,16 @@ Report run_synth_cec(const Args& args) {
   int passes = 0;
   do {
     const auto p0 = Clock::now();
+    const double cpu0 = cpu_s;
+    ref_ms = 0.0;
     one_pass(true);
     pass_s = seconds_since(p0);
+    pass_ref_per_op.push_back((cpu_s - cpu0) * 1e3 / ref_ms);
+    pass_unit_ms.push_back(ref_ms / static_cast<double>(corpus.size()));
     ++passes;
   } while (seconds_since(start) + pass_s < window);
   const RegistrySnapshot delta = RegistrySnapshot::take().minus(before);
-  const double wall_per_pass = seconds_since(start) / passes;
+  const double wall_per_pass = (seconds_since(start) - ref_wall_s) / passes;
 
   std::vector<double> synth_ms;
   for (const auto& samples : synth_samples) {
@@ -409,7 +428,10 @@ Report run_synth_cec(const Args& args) {
   r.e2e["peak_rss_mb"] = peak_rss_mb();
   r.set("synth_cec.circuits_per_s",
         static_cast<double>(corpus.size()) / wall_per_pass, "1/s");
-  r.e2e["cpu_ms_per_op"] = circuits_done > 0 ? cpu_s * 1e3 / circuits_done : 0;
+  r.set("synth_cec.cpu_ms_per_op",
+        circuits_done > 0 ? cpu_s * 1e3 / circuits_done : 0, "ms");
+  r.set("reference_unit_ms", median(pass_unit_ms), "ms");
+  r.e2e["cpu_per_op_ref"] = median(pass_ref_per_op);
   r.e2e["quality_pct"] = 100.0 * decided_frac;
   r.e2e["ands"] = mean_ands;
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 
@@ -171,6 +172,15 @@ TEST(Stats, QuantilesAndTailLevel) {
   EXPECT_DOUBLE_EQ(tail_level(1000), 0.99);
   EXPECT_DOUBLE_EQ(tail_level(40), 0.75);
   EXPECT_DOUBLE_EQ(tail_level(5), 0.5);
+}
+
+TEST(Stats, ReferenceUnitTakesCpuOnOneAndManyThreads) {
+  const double one = reference_unit_ms(4);
+  const double many = reference_unit_ms(4, 3);
+  EXPECT_GT(one, 0.0);
+  EXPECT_GT(many, 0.0);
+  // The same fixed work: a tenfold gap would mean a thread skipped it.
+  EXPECT_LT(std::max(one, many) / std::min(one, many), 10.0);
 }
 
 }  // namespace
