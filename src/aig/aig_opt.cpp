@@ -99,42 +99,31 @@ class Balancer {
 
 // ---------------------------------------------------------------- rewrite
 
-/// Largest cut the rewriter handles: 6 leaves fit a 64-bit truth table.
-constexpr int kMaxCutSize = 6;
-
-/// Projection of leaf 0, padded to kMaxCutSize variables.
-constexpr std::uint64_t kLeaf0Projection = 0xaaaaaaaaaaaaaaaaULL;
+/// Largest cut the rewriter handles: 6 leaves fit a 64-bit word table.
+constexpr int kMaxCutSize = tt::kWordVars;
 
 struct Cut {
   std::array<std::uint32_t, kMaxCutSize> leaves{};  // sorted variable ids
   int num_leaves = 0;
-  std::uint64_t tt = 0;  // truth table over the leaves
+  std::uint64_t tt = 0;  // word table over the leaves (tt/truth_table.hpp)
 
   bool operator==(const Cut& o) const {
     return num_leaves == o.num_leaves && leaves == o.leaves && tt == o.tt;
   }
 };
 
-// Expands a truth table over `cut` leaves to one over `merged` leaves.
-std::uint64_t expand_tt(std::uint64_t tt, const Cut& cut, const Cut& merged) {
-  std::uint64_t result = 0;
-  for (int m = 0; m < (1 << merged.num_leaves); ++m) {
-    int sub = 0;
-    for (int i = 0; i < cut.num_leaves; ++i) {
-      // Position of cut leaf i inside merged leaves.
-      int pos = 0;
-      while (merged.leaves[pos] != cut.leaves[i]) {
-        ++pos;
-      }
-      if (m & (1 << pos)) {
-        sub |= 1 << i;
-      }
+// Positions of `cut`'s leaves inside the sorted superset `merged`, as the
+// placement mask tt::word_stretch takes.
+std::uint32_t placement_in(const Cut& cut, const Cut& merged) {
+  std::uint32_t placement = 0;
+  int pos = 0;
+  for (int i = 0; i < cut.num_leaves; ++i) {
+    while (merged.leaves[pos] != cut.leaves[i]) {
+      ++pos;
     }
-    if (tt & (1ULL << sub)) {
-      result |= 1ULL << m;
-    }
+    placement |= 1u << pos;
   }
-  return result;
+  return placement;
 }
 
 bool merge_cuts(const Cut& a, const Cut& b, int max_size, Cut* out) {
@@ -180,7 +169,7 @@ class Rewriter {
       Cut trivial;
       trivial.num_leaves = 1;
       trivial.leaves[0] = v;
-      trivial.tt = kLeaf0Projection;
+      trivial.tt = tt::kWordVarMask[0];
       if (!in_.is_and(v)) {
         cuts_[v] = {trivial};
         continue;
@@ -193,15 +182,17 @@ class Rewriter {
           if (!merge_cuts(ca, cb, cut_size_, &merged)) {
             continue;
           }
-          std::uint64_t ta = expand_tt(ca.tt, ca, merged);
-          std::uint64_t tb = expand_tt(cb.tt, cb, merged);
+          std::uint64_t ta =
+              tt::word_stretch(ca.tt, placement_in(ca, merged));
+          std::uint64_t tb =
+              tt::word_stretch(cb.tt, placement_in(cb, merged));
           if (lit_compl(n.fanin0)) {
             ta = ~ta;
           }
           if (lit_compl(n.fanin1)) {
             tb = ~tb;
           }
-          merged.tt = mask_tt(ta & tb, merged.num_leaves);
+          merged.tt = ta & tb;
           if (std::find(result.begin(), result.end(), merged) ==
               result.end()) {
             result.push_back(merged);
@@ -216,19 +207,6 @@ class Rewriter {
       result.push_back(trivial);
       cuts_[v] = std::move(result);
     }
-  }
-
-  static std::uint64_t mask_tt(std::uint64_t tt, int vars) {
-    if (vars >= kMaxCutSize) {
-      return tt;
-    }
-    const int bits = 1 << vars;
-    // Replicate the low 2^vars bits to fill 64 (keeps expand_tt simple).
-    std::uint64_t out = tt & ((1ULL << bits) - 1);
-    for (int b = bits; b < 64; b <<= 1) {
-      out |= out << b;
-    }
-    return out;
   }
 
   // MFFC size of v limited to the given cut: number of AND nodes freed if v
@@ -297,20 +275,11 @@ class Rewriter {
     }
   }
 
-  tt::TruthTable cut_tt(const Cut& cut) const {
-    tt::TruthTable f(cut.num_leaves);
-    for (int m = 0; m < (1 << cut.num_leaves); ++m) {
-      if (cut.tt & (1ULL << m)) {
-        f.set(static_cast<std::uint64_t>(m), true);
-      }
-    }
-    return f;
-  }
-
-  int resynth_cost(const Cut& cut) const {
-    const auto f = cut_tt(cut);
-    const int pos = tt::sop_gate_cost(tt::isop(f));
-    const int neg = tt::sop_gate_cost(tt::isop(~f));
+  // Cost of the cheaper ISOP of the cut function or its complement; the
+  // same choice from_truth_table makes when rebuild() applies the cut.
+  static int resynth_cost(const Cut& cut) {
+    const int pos = tt::isop_word(cut.tt).gate_cost();
+    const int neg = tt::isop_word(~cut.tt).gate_cost();
     return std::min(pos, neg);
   }
 
@@ -328,7 +297,8 @@ class Rewriter {
         for (int i = 0; i < cut.num_leaves; ++i) {
           leaves.push_back(map[cut.leaves[i]]);
         }
-        map[v] = from_truth_table(out, cut_tt(cut), leaves);
+        map[v] = from_truth_table(
+            out, tt::TruthTable::from_word(cut.num_leaves, cut.tt), leaves);
       } else {
         const Node& n = in_.node(v);
         map[v] = out.and2(lit_notc(map[lit_var(n.fanin0)], lit_compl(n.fanin0)),

@@ -16,8 +16,11 @@ Aig balance(const Aig& in);
 /// Size-oriented pass: for every node, enumerates k-input cuts, evaluates
 /// an ISOP-based resynthesis of the cut function and applies it when the
 /// estimated gain (MFFC size minus new cost) is positive. `cut_size` is
-/// clamped to [2, 6] (6-leaf cuts fit a 64-bit truth table); larger cuts
-/// behave like ABC's refactor, smaller like its rewrite.
+/// clamped to [2, 6]: a cut function is a 64-bit word table, merged cuts
+/// carry their fanins' tables over by variable stretching, and each cut
+/// is costed by the allocation-free word ISOP (tt::isop_word). Only the
+/// applied cuts go through the TruthTable path (from_truth_table). Larger
+/// cuts behave like ABC's refactor, smaller like its rewrite.
 Aig rewrite(const Aig& in, int cut_size = 4, int cuts_per_node = 8);
 
 /// Full pipeline: iterates cleanup/balance/rewrite until no improvement.

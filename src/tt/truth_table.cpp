@@ -6,16 +6,6 @@
 
 namespace lsml::tt {
 
-namespace {
-
-// Magic masks for variables living inside one 64-bit word.
-constexpr std::uint64_t kVarMask[6] = {
-    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
-    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
-};
-
-}  // namespace
-
 TruthTable::TruthTable(int num_vars) : num_vars_(num_vars) {
   if (num_vars < 0 || num_vars > kMaxVars) {
     throw std::invalid_argument("TruthTable: unsupported variable count");
@@ -38,7 +28,7 @@ TruthTable TruthTable::var(int num_vars, int v) {
   TruthTable t(num_vars);
   if (v < 6) {
     for (auto& w : t.words_) {
-      w = kVarMask[v];
+      w = kWordVarMask[v];
     }
   } else {
     // Variable index >= 6: whole words alternate in blocks of 2^(v-6).
@@ -48,6 +38,15 @@ TruthTable TruthTable::var(int num_vars, int v) {
         t.words_[i] = ~0ULL;
       }
     }
+  }
+  t.mask_tail();
+  return t;
+}
+
+TruthTable TruthTable::from_word(int num_vars, std::uint64_t word) {
+  TruthTable t(num_vars);
+  for (auto& w : t.words_) {
+    w = word;
   }
   t.mask_tail();
   return t;
@@ -136,15 +135,9 @@ TruthTable TruthTable::operator~() const {
 
 TruthTable TruthTable::cofactor(int var, bool value) const {
   TruthTable r = *this;
-  if (var < 6) {
-    const std::uint64_t mask = kVarMask[var];
-    const int shift = 1 << var;
+  if (var < kWordVars) {
     for (auto& w : r.words_) {
-      if (value) {
-        w = (w & mask) | ((w & mask) >> shift);
-      } else {
-        w = (w & ~mask) | ((w & ~mask) << shift);
-      }
+      w = word_cofactor(w, var, value);
     }
   } else {
     const std::size_t block = 1ULL << (var - 6);
@@ -167,6 +160,40 @@ void TruthTable::mask_tail() {
   if (num_vars_ < 6) {
     words_[0] &= (1ULL << (1ULL << num_vars_)) - 1;
   }
+}
+
+std::uint64_t word_replicate(std::uint64_t bits, int num_vars) {
+  assert(num_vars >= 0 && num_vars <= kWordVars);
+  if (num_vars == kWordVars) {
+    return bits;
+  }
+  const int width = 1 << num_vars;
+  std::uint64_t out = bits & ((1ULL << width) - 1);
+  for (int b = width; b < 64; b <<= 1) {
+    out |= out << b;
+  }
+  return out;
+}
+
+std::uint64_t word_stretch(std::uint64_t word, std::uint32_t placement) {
+  assert(placement < (1u << kWordVars));
+  int var = std::popcount(placement);
+  for (int pos = kWordVars - 1; pos >= 0; --pos) {
+    if (!((placement >> pos) & 1)) {
+      continue;
+    }
+    --var;
+    if (var != pos) {
+      // Delta swap of variables var < pos: exchange the minterms with
+      // (var, pos) = (1, 0) and (0, 1). Position pos is free, since every
+      // variable above var already moved up, so this is a plain move.
+      const int shift = (1 << pos) - (1 << var);
+      const std::uint64_t mask = kWordVarMask[var] & ~kWordVarMask[pos];
+      const std::uint64_t delta = (word ^ (word >> shift)) & mask;
+      word ^= delta | (delta << shift);
+    }
+  }
+  return word;
 }
 
 int SmallCube::num_literals() const {

@@ -96,6 +96,44 @@ TEST_P(OptEquivalence, OptimizeNeverGrowsAndPreserves) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OptEquivalence, ::testing::Range(1, 13));
 
+// Every input row of a small cone, one simulation column per input.
+bool equivalent_exhaustively(const Aig& a, const Aig& b) {
+  const std::size_t rows = std::size_t{1} << a.num_pis();
+  std::vector<core::BitVec> cols(a.num_pis(), core::BitVec(rows));
+  std::vector<const core::BitVec*> ptrs;
+  for (std::uint32_t i = 0; i < a.num_pis(); ++i) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      cols[i].set(r, (r >> i) & 1);
+    }
+    ptrs.push_back(&cols[i]);
+  }
+  return a.simulate(ptrs)[0].count_equal(b.simulate(ptrs)[0]) == rows;
+}
+
+// The word ISOP cost and the truth-table stretch drive every cut size;
+// check each against exhaustive simulation, not only the default k = 4.
+TEST(Rewrite, EveryCutSizePreservesFunctionExhaustively) {
+  for (const auto flavor :
+       {ConeFlavor::kRandom, ConeFlavor::kXorRich, ConeFlavor::kArith}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      core::Rng rng(seed * 17 + static_cast<std::uint64_t>(flavor));
+      ConeOptions options;
+      options.num_inputs = 11;
+      options.num_ands = 160;
+      options.flavor = flavor;
+      const Aig g = random_cone(options, rng);
+      for (int k = 2; k <= 6; ++k) {
+        for (const int cuts : {1, 8}) {
+          const Aig r = rewrite(g, k, cuts);
+          EXPECT_TRUE(equivalent_exhaustively(g, r))
+              << "flavor " << static_cast<int>(flavor) << " seed " << seed
+              << " k " << k << " cuts " << cuts;
+        }
+      }
+    }
+  }
+}
+
 TEST(Rewrite, ShrinksRedundantStructure) {
   Aig g(4);
   // f = (a&b&c) | (a&b&!c): collapses to a&b.
