@@ -1,6 +1,7 @@
-// SAT subsystem bench: (1) CEC latency as a function of AIG size — each
-// circuit is checked against its own resyn2 optimization, so every miter
-// is a real UNSAT proof obligation; (2) fraig node reduction — resyn2fs
+// SAT subsystem bench: (1) CEC latency as a function of AIG size and cone
+// flavor (random, XOR-rich, arith) — each circuit is checked against its
+// own resyn2 optimization, so every miter is a real UNSAT proof
+// obligation; (2) fraig node reduction — resyn2fs
 // vs resyn2 AND counts over the same random-cone pool the synth bench
 // uses. Rides the bench_common scaffolding: LSML_SCALE grows the pool.
 
@@ -22,31 +23,45 @@ int main() {
 
   const synth::PassManager manager{synth::SynthOptions{}};
 
-  std::printf("CEC latency vs AIG size (circuit vs its resyn2 form):\n");
-  std::printf("%8s | %9s %9s | %10s | %9s\n", "ands", "opt_ands", "verdict",
-              "conflicts", "ms");
+  const auto flavor_name = [](aig::ConeFlavor flavor) {
+    return flavor == aig::ConeFlavor::kRandom    ? "random"
+           : flavor == aig::ConeFlavor::kXorRich ? "xor-rich"
+                                                 : "arith";
+  };
+  constexpr aig::ConeFlavor kFlavors[] = {aig::ConeFlavor::kRandom,
+                                          aig::ConeFlavor::kXorRich,
+                                          aig::ConeFlavor::kArith};
+
+  std::printf(
+      "CEC latency vs AIG size (circuit vs its resyn2 form; conflicts are\n"
+      "the sweep's plus the final solve's):\n");
+  std::printf("%-8s %8s | %9s %9s | %10s | %9s\n", "flavor", "ands",
+              "opt_ands", "verdict", "conflicts", "ms");
   {
     core::Rng rng(2021);
-    for (const std::uint32_t ands :
-         fast ? std::vector<std::uint32_t>{100, 300, 1000}
-              : std::vector<std::uint32_t>{100, 300, 1000, 3000}) {
-      aig::ConeOptions cone;
-      cone.num_inputs = 24;
-      cone.num_ands = ands;
-      cone.max_tries = 2;
-      const aig::Aig g = aig::random_cone(cone, rng);
-      const aig::Aig opt =
-          manager.run(g, synth::Script::preset("resyn2")).circuit;
-      const Clock::time_point t0 = Clock::now();
-      const sat::CecResult r = sat::cec(g, opt, {0, 0});
-      const double ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - t0)
-              .count();
-      std::printf("%8u | %9u %9s | %10llu | %9.2f\n", g.num_ands(),
-                  opt.num_ands(),
-                  r.status == sat::CecStatus::kEquivalent ? "EQ" : "??",
-                  static_cast<unsigned long long>(r.solver_stats.conflicts),
-                  ms);
+    for (const aig::ConeFlavor flavor : kFlavors) {
+      for (const std::uint32_t ands :
+           fast ? std::vector<std::uint32_t>{100, 300, 1000}
+                : std::vector<std::uint32_t>{100, 300, 1000, 3000}) {
+        aig::ConeOptions cone;
+        cone.num_inputs = 24;
+        cone.num_ands = ands;
+        cone.flavor = flavor;
+        cone.max_tries = 2;
+        const aig::Aig g = aig::random_cone(cone, rng);
+        const aig::Aig opt =
+            manager.run(g, synth::Script::preset("resyn2")).circuit;
+        const Clock::time_point t0 = Clock::now();
+        const sat::CecResult r = sat::cec(g, opt, {0, 0});
+        const double ms =
+            std::chrono::duration<double, std::milli>(Clock::now() - t0)
+                .count();
+        std::printf("%-8s %8u | %9u %9s | %10llu | %9.2f\n",
+                    flavor_name(flavor), g.num_ands(), opt.num_ands(),
+                    r.status == sat::CecStatus::kEquivalent ? "EQ" : "??",
+                    static_cast<unsigned long long>(r.solver_stats.conflicts),
+                    ms);
+      }
     }
   }
 
@@ -55,13 +70,7 @@ int main() {
               "resyn2", "resyn2fs", "extra%", "fs_proved", "fs_ms");
   {
     core::Rng rng(2020);
-    for (const auto flavor :
-         {aig::ConeFlavor::kRandom, aig::ConeFlavor::kXorRich,
-          aig::ConeFlavor::kArith}) {
-      const char* flavor_name = flavor == aig::ConeFlavor::kRandom ? "random"
-                                : flavor == aig::ConeFlavor::kXorRich
-                                    ? "xor-rich"
-                                    : "arith";
+    for (const aig::ConeFlavor flavor : kFlavors) {
       for (const std::uint32_t ands :
            fast ? std::vector<std::uint32_t>{200, 600}
                 : std::vector<std::uint32_t>{200, 600, 2000}) {
@@ -87,7 +96,7 @@ int main() {
         const std::uint32_t a = r2.circuit.num_ands();
         const std::uint32_t b = r2fs.circuit.num_ands();
         std::printf("%-8s %6u | %9u %9u | %6.1f%% | %9llu %9.0f\n",
-                    flavor_name, g.num_ands(), a, b,
+                    flavor_name(flavor), g.num_ands(), a, b,
                     a == 0 ? 0.0
                            : 100.0 * static_cast<double>(a - b) /
                                  static_cast<double>(a),

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace lsml::aig {
@@ -51,42 +52,72 @@ Aig read_aag(std::istream& is) {
   if (l != 0) {
     throw std::runtime_error("read_aag: latches not supported");
   }
-  if (m != i + a) {
+  if (static_cast<std::uint64_t>(i) + a != m) {
     throw std::runtime_error("read_aag: non-contiguous variable numbering");
   }
+  // 2M+1 must fit a literal and stay below the undefined-variable marker.
+  constexpr std::uint32_t kMaxVar = 0x7ffffffeu;
+  if (m > kMaxVar) {
+    throw std::runtime_error("read_aag: too many variables");
+  }
+  // A literal names a variable in [0, M]; each variable is defined once, by
+  // the constant, an input line or an AND line, before any AND line uses it.
+  const Lit max_lit = make_lit(m, true);
+  const auto bad = [](const char* what, Lit lit) {
+    return std::runtime_error(std::string("read_aag: ") + what + " " +
+                              std::to_string(lit));
+  };
   Aig aig(i);
-  std::vector<Lit> pi_lits(i);
+  // Map from file variable to our literal (kUndefined until defined). PIs
+  // are expected in order 2,4,6,... as AIGER recommends; any order of the
+  // variables 1..I is accepted and remapped.
+  constexpr Lit kUndefined = 0xffffffffu;
+  std::vector<Lit> map(static_cast<std::size_t>(m) + 1, kUndefined);
+  map[0] = kLitFalse;
   for (std::uint32_t k = 0; k < i; ++k) {
     Lit lit = 0;
-    if (!(is >> lit) || lit_compl(lit)) {
+    if (!(is >> lit)) {
       throw std::runtime_error("read_aag: bad input literal");
     }
-    pi_lits[k] = lit;
+    if (lit_compl(lit) || lit > max_lit || map[lit_var(lit)] != kUndefined) {
+      throw bad("bad input literal", lit);
+    }
+    map[lit_var(lit)] = aig.pi(k);
   }
   std::vector<Lit> out_lits(o);
   for (auto& lit : out_lits) {
     if (!(is >> lit)) {
       throw std::runtime_error("read_aag: bad output literal");
     }
+    if (lit > max_lit) {
+      throw bad("output literal out of range:", lit);
+    }
   }
-  // Map from file variable to our literal. PIs are expected in order
-  // 2,4,6,... as AIGER recommends; we remap defensively anyway.
-  std::vector<Lit> map(m + 1, kLitFalse);
-  map[0] = kLitFalse;
-  for (std::uint32_t k = 0; k < i; ++k) {
-    map[lit_var(pi_lits[k])] = aig.pi(k);
-  }
+  const auto fanin = [&](Lit lit) {
+    if (lit > max_lit) {
+      throw bad("and fanin out of range:", lit);
+    }
+    if (map[lit_var(lit)] == kUndefined) {
+      throw bad("and fanin used before its definition:", lit);
+    }
+    return lit_notc(map[lit_var(lit)], lit_compl(lit));
+  };
   for (std::uint32_t k = 0; k < a; ++k) {
     Lit lhs = 0;
     Lit rhs0 = 0;
     Lit rhs1 = 0;
-    if (!(is >> lhs >> rhs0 >> rhs1) || lit_compl(lhs)) {
+    if (!(is >> lhs >> rhs0 >> rhs1)) {
       throw std::runtime_error("read_aag: bad and line");
     }
-    const Lit f0 = lit_notc(map[lit_var(rhs0)], lit_compl(rhs0));
-    const Lit f1 = lit_notc(map[lit_var(rhs1)], lit_compl(rhs1));
+    if (lit_compl(lhs) || lhs > max_lit || lit_var(lhs) <= i ||
+        map[lit_var(lhs)] != kUndefined) {
+      throw bad("bad and lhs", lhs);
+    }
+    const Lit f0 = fanin(rhs0);
+    const Lit f1 = fanin(rhs1);
     map[lit_var(lhs)] = aig.and2(f0, f1);
   }
+  // Every variable in [1, M] is defined by now: I + A distinct ones were.
   for (Lit lit : out_lits) {
     aig.add_output(lit_notc(map[lit_var(lit)], lit_compl(lit)));
   }

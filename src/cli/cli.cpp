@@ -108,8 +108,8 @@ constexpr const char* kUsage =
     "      --verify             SAT-certify the run (exit 1 if it failed)\n"
     "      --trace-out FILE     write a Chrome trace of the pass spans\n"
     "  cec <a.aag> <b.aag>  SAT equivalence check (`-` = stdin, once)\n"
-    "      --conflicts N        solver conflict budget, 0 = unlimited\n"
-    "                           [100000]\n"
+    "      --conflicts N        total conflict budget (sweep + final\n"
+    "                           solve), 0 = unlimited     [100000]\n"
     "      --cex-out FILE       append the counterexample minterm (labeled\n"
     "                           by circuit a) to a replayable .pla dump\n"
     "      exit: 0 equivalent, 1 not equivalent (counterexample printed),\n"

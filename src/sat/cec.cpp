@@ -4,9 +4,33 @@
 #include <string>
 #include <utility>
 
+#include "core/rng.hpp"
+#include "obs/trace.hpp"
 #include "sat/cnf.hpp"
+#include "sat/fraig.hpp"
 
 namespace lsml::sat {
+
+namespace {
+
+/// Seed of the sweep's simulation patterns: fixed, so a check is a pure
+/// function of its inputs and limits.
+constexpr std::uint64_t kSweepSeed = 0x5eedcec;
+
+/// Indices of the output pairs (i, n + i) of a 2n-output miter that do
+/// not share one literal, i.e. are not yet proved equal.
+std::vector<std::size_t> open_pairs(const aig::Aig& miter) {
+  const std::size_t n = miter.num_outputs() / 2;
+  std::vector<std::size_t> open;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (miter.output(i) != miter.output(n + i)) {
+      open.push_back(i);
+    }
+  }
+  return open;
+}
+
+}  // namespace
 
 CecResult cec(const aig::Aig& a, const aig::Aig& b, const CecLimits& limits) {
   if (a.num_pis() != b.num_pis()) {
@@ -19,24 +43,62 @@ CecResult cec(const aig::Aig& a, const aig::Aig& b, const CecLimits& limits) {
                                 std::to_string(a.num_outputs()) + " vs " +
                                 std::to_string(b.num_outputs()) + ")");
   }
+  CecResult result;
+  // One miter over shared PIs: outputs 0..n-1 are a's, n..2n-1 are b's.
+  // Logic common to both merges through structural hashing.
+  aig::Aig miter(a.num_pis());
+  for (const aig::Aig* g : {&a, &b}) {
+    for (std::size_t i = 0; i < g->num_outputs(); ++i) {
+      miter.add_output(aig::append_aig(miter, *g, i));
+    }
+  }
+  if (open_pairs(miter).empty()) {
+    result.status = CecStatus::kEquivalent;
+    return result;
+  }
+
+  // Sweep: fraig merges only on UNSAT proofs, so every output pair that
+  // lands on one literal is proved equal.
+  Budget total;
+  total.max_conflicts = limits.conflict_budget;
+  total.max_propagations = limits.propagation_budget;
+  FraigStats sweep;
+  aig::Aig swept;
+  {
+    obs::ScopedSpan span("cec.sweep", "sat");
+    FraigOptions options;
+    options.total = total;
+    core::Rng rng(kSweepSeed);
+    swept = fraig(miter.cleanup(), options, rng, &sweep);
+  }
+  result.solver_stats.conflicts = sweep.conflicts;
+  result.solver_stats.propagations = sweep.propagations;
+  const std::vector<std::size_t> open = open_pairs(swept);
+  if (open.empty()) {
+    result.status = CecStatus::kEquivalent;
+    return result;
+  }
+
+  // Residual miter over the unresolved pairs, under what is left.
+  Budget budget;
+  if (!cap_to_remaining(total, sweep.conflicts, sweep.propagations,
+                        &budget)) {
+    result.status = CecStatus::kUndecided;
+    return result;
+  }
   Solver solver;
-  CnfBuilder ca(solver, a);
-  CnfBuilder cb(solver, b, ca);
-  // The miter: some output pair differs.
+  CnfBuilder cnf(solver, swept);
   std::vector<Lit> diffs;
-  diffs.reserve(a.num_outputs());
-  for (std::size_t i = 0; i < a.num_outputs(); ++i) {
-    diffs.push_back(add_xor(solver, ca.lit(a.output(i)), cb.lit(b.output(i))));
+  diffs.reserve(open.size());
+  for (const std::size_t i : open) {
+    diffs.push_back(add_xor(solver, cnf.lit(swept.output(i)),
+                            cnf.lit(swept.output(a.num_outputs() + i))));
   }
   const Lit mismatch = add_or(solver, diffs);
-
-  Budget budget;
-  budget.max_conflicts = limits.conflict_budget;
-  budget.max_propagations = limits.propagation_budget;
   const Status status = solver.solve({mismatch}, budget);
-
-  CecResult result;
   result.solver_stats = solver.stats();
+  result.solver_stats.conflicts += sweep.conflicts;
+  result.solver_stats.propagations += sweep.propagations;
   if (status == Status::kUnsat) {
     result.status = CecStatus::kEquivalent;
     return result;
@@ -49,7 +111,7 @@ CecResult cec(const aig::Aig& a, const aig::Aig& b, const CecLimits& limits) {
   result.counterexample.resize(a.num_pis());
   for (std::uint32_t i = 0; i < a.num_pis(); ++i) {
     result.counterexample[i] =
-        solver.model_value(ca.pi_lit(i)) ? std::uint8_t{1} : std::uint8_t{0};
+        solver.model_value(cnf.pi_lit(i)) ? std::uint8_t{1} : std::uint8_t{0};
   }
   // Identify a distinguishing output by replaying the cube; a model that
   // fails to distinguish any output would mean the solver or encoding is

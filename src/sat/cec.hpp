@@ -1,8 +1,11 @@
 #pragma once
 // SAT-based combinational equivalence checking (CEC).
 //
-// cec(a, b) builds a miter of the two circuits over shared primary inputs
-// and asks the CDCL solver whether any input makes an output pair differ.
+// cec(a, b) strashes both circuits into one AIG over shared primary inputs,
+// so logic common to both merges structurally. It then sweeps that miter
+// with sat::fraig, which merges nodes only on UNSAT proofs: an output pair
+// landing on one literal is proved equal. Only the pairs left open go to
+// one final miter solve, which asks whether any input makes a pair differ.
 // UNSAT proves equivalence; SAT yields a concrete counterexample cube; a
 // blown budget returns kUndecided — never a wrong verdict. This is the
 // exactness the paper trades away, made checkable: any optimized circuit
@@ -19,7 +22,9 @@ namespace lsml::sat {
 
 enum class CecStatus { kEquivalent, kNotEquivalent, kUndecided };
 
-/// Resource limits on the underlying SAT call; 0 = unlimited.
+/// Resource limits over the whole check (every sweep probe plus the final
+/// solve); 0 = unlimited. Each sweep probe runs under min(its own budget,
+/// what is left), the final solve under what the sweep left.
 struct CecLimits {
   std::int64_t conflict_budget = 100000;
   std::int64_t propagation_budget = 0;
@@ -31,7 +36,9 @@ struct CecResult {
   std::vector<std::uint8_t> counterexample;
   /// kNotEquivalent only: index of an output the cube distinguishes.
   std::size_t failing_output = 0;
-  /// Underlying solver effort (cumulative over the one miter call).
+  /// Solver effort: `conflicts` and `propagations` are the sweep's totals
+  /// plus the final solve's, so conflicts <= conflict_budget when one is
+  /// set. The other counters cover the final solve only.
   SolverStats solver_stats;
 };
 

@@ -1,7 +1,5 @@
 #include "sat/cnf.hpp"
 
-#include <stdexcept>
-
 namespace lsml::sat {
 
 Lit add_xor(Solver& solver, Lit a, Lit b) {
@@ -33,20 +31,6 @@ CnfBuilder::CnfBuilder(Solver& solver, const aig::Aig& g)
   pi_vars_.reserve(g.num_pis());
   for (std::uint32_t i = 0; i < g.num_pis(); ++i) {
     pi_vars_.push_back(solver_.new_var());
-  }
-}
-
-CnfBuilder::CnfBuilder(Solver& solver, const aig::Aig& g,
-                       const CnfBuilder& pis)
-    : solver_(solver), aig_(g), pi_vars_(pis.pi_vars_),
-      const_var_(pis.const_var_) {
-  if (&solver != &pis.solver_) {
-    throw std::invalid_argument(
-        "CnfBuilder: miter halves must share one Solver");
-  }
-  if (g.num_pis() != pis.aig_.num_pis()) {
-    throw std::invalid_argument(
-        "CnfBuilder: miter halves must have equal PI counts");
   }
 }
 

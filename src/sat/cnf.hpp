@@ -5,9 +5,8 @@
 // solver variable constrained by the three Tseitin clauses, translated
 // lazily and incrementally — the bound AIG may keep growing (the fraig
 // pass encodes its under-construction circuit node by node), because node
-// ids are topological and append-only. Two builders may share a Solver
-// and the same primary-input variables, which is exactly a miter over
-// shared PIs (the btor_aig_to_sat_constraints pattern from boolector).
+// ids are topological and append-only. A miter is encoded by building
+// both circuits into one AIG over shared PIs first (see sat::cec).
 
 #include <cstdint>
 #include <vector>
@@ -31,10 +30,6 @@ class CnfBuilder {
   /// count must not change (appending AND nodes is fine).
   CnfBuilder(Solver& solver, const aig::Aig& g);
 
-  /// Binds `g` but shares primary-input variables (and the constant) with
-  /// `pis`, forming a miter over common inputs. PI counts must match.
-  CnfBuilder(Solver& solver, const aig::Aig& g, const CnfBuilder& pis);
-
   /// Solver literal computing AIG literal `l`, encoding any AND nodes in
   /// its cone that have not been translated yet.
   Lit lit(aig::Lit l);
@@ -42,7 +37,7 @@ class CnfBuilder {
   /// Solver literals of all outputs (encodes their cones).
   std::vector<Lit> output_lits();
 
-  /// Solver literal of primary input `i` (shared across miter halves).
+  /// Solver literal of primary input `i`.
   [[nodiscard]] Lit pi_lit(std::uint32_t i) const {
     return make_lit(pi_vars_[i], false);
   }

@@ -139,8 +139,6 @@ aig::Aig fraig(const aig::Aig& in, const FraigOptions& options,
   aig::Aig out(in.num_pis(), aig::Aig::StrashMode::kTwoLevel);
   Solver solver;
   CnfBuilder cnf(solver, out);
-  Budget budget;
-  budget.max_conflicts = options.conflict_budget;
 
   // old var -> literal over `out` computing the same function of the PIs.
   std::vector<aig::Lit> map(in.num_nodes(), aig::kLitFalse);
@@ -197,7 +195,11 @@ aig::Aig fraig(const aig::Aig& in, const FraigOptions& options,
           merged = true;
           break;
         }
-        if (probes++ >= options.max_pair_probes) {
+        Budget budget;
+        budget.max_conflicts = options.conflict_budget;
+        if (probes++ >= options.max_pair_probes ||
+            !cap_to_remaining(options.total, solver.stats().conflicts,
+                              solver.stats().propagations, &budget)) {
           give_up = true;
           break;
         }
@@ -243,6 +245,8 @@ aig::Aig fraig(const aig::Aig& in, const FraigOptions& options,
     out.add_output(
         aig::lit_notc(map[aig::lit_var(o)], aig::lit_compl(o)));
   }
+  local.conflicts = solver.stats().conflicts;
+  local.propagations = solver.stats().propagations;
   aig::Aig cleaned = out.cleanup();
   publish(cleaned);
   return cleaned;

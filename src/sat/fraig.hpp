@@ -15,6 +15,7 @@
 
 #include "aig/aig.hpp"
 #include "core/rng.hpp"
+#include "sat/solver.hpp"
 
 namespace lsml::sat {
 
@@ -23,6 +24,11 @@ struct FraigOptions {
   std::size_t sim_patterns = 2048;
   /// Conflict budget per SAT probe; 0 = unlimited (exact sweeping).
   std::int64_t conflict_budget = 1000;
+  /// Budget over all probes together (0 fields = unlimited). Each probe
+  /// runs under min(its own budget, what is left); once a total is spent,
+  /// the remaining nodes are kept unprobed (structural merges still
+  /// happen).
+  Budget total;
   /// Candidate representatives probed per node before giving up, bounding
   /// worst-case SAT effort on large near-equivalence classes.
   std::uint32_t max_pair_probes = 16;
@@ -34,6 +40,8 @@ struct FraigStats {
   std::uint64_t disproved = 0;  ///< SAT probes: counterexamples found
   std::uint64_t undecided = 0;  ///< budget-limited probes: nodes kept
   std::uint32_t cex_patterns = 0;  ///< counterexample rows fed back
+  std::uint64_t conflicts = 0;     ///< solver conflicts over all probes
+  std::uint64_t propagations = 0;  ///< solver propagations over all probes
   std::uint32_t ands_in = 0;
   std::uint32_t ands_out = 0;
 };

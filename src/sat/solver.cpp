@@ -364,6 +364,27 @@ class SolveScope {
 
 }  // namespace
 
+bool cap_to_remaining(const Budget& total, std::uint64_t conflicts,
+                      std::uint64_t propagations, Budget* per_call) {
+  const auto cap = [](std::int64_t limit, std::uint64_t used,
+                      std::int64_t* field) {
+    if (limit <= 0) {
+      return true;
+    }
+    if (used >= static_cast<std::uint64_t>(limit)) {
+      return false;
+    }
+    const auto left = limit - static_cast<std::int64_t>(used);
+    if (*field <= 0 || *field > left) {
+      *field = left;
+    }
+    return true;
+  };
+  return cap(total.max_conflicts, conflicts, &per_call->max_conflicts) &&
+         cap(total.max_propagations, propagations,
+             &per_call->max_propagations);
+}
+
 Status Solver::solve(const std::vector<Lit>& assumptions,
                      const Budget& budget) {
   const SolveScope telemetry(stats_);

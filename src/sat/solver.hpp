@@ -39,6 +39,12 @@ struct Budget {
   std::int64_t max_propagations = 0;
 };
 
+/// Tightens `per_call` to what is left of `total` once `conflicts` and
+/// `propagations` have been spent. Returns false when a total is used up:
+/// the caller must not solve, since a zero field would mean unlimited.
+bool cap_to_remaining(const Budget& total, std::uint64_t conflicts,
+                      std::uint64_t propagations, Budget* per_call);
+
 struct SolverStats {
   std::uint64_t decisions = 0;
   std::uint64_t propagations = 0;

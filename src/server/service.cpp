@@ -851,6 +851,7 @@ Json Service::handle_cec(const Json& request, const Deadline& deadline) {
       r.set("verdict", "undecided");
       break;
   }
+  // The sweep's conflicts plus the final solve's: within the budget.
   r.set("conflicts",
         static_cast<std::int64_t>(result.solver_stats.conflicts));
   return r;

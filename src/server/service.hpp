@@ -92,7 +92,8 @@ struct ServiceOptions {
   std::string cache_dir;
   /// Contest seed used when a learn request does not send one.
   std::uint64_t default_seed = 2020;
-  /// Default SAT conflict budget of a cec request (0 = unlimited).
+  /// Default total SAT conflict budget of a cec request, sweep plus final
+  /// solve (0 = unlimited).
   std::int64_t cec_conflict_budget = 100000;
   /// Row cap of one eval request, summed over its batches.
   std::size_t max_eval_rows = 1u << 20;

@@ -71,7 +71,8 @@ struct SynthOptions {
   /// run returns the input's cleanup — the safe exact baseline — instead
   /// of the broken circuit.
   bool verify_equivalence = false;
-  /// Conflict budget of the certification SAT call; 0 = unlimited.
+  /// Total conflict budget of the certification check (sat::cec: sweep
+  /// probes plus final solve); 0 = unlimited.
   std::int64_t verify_conflict_budget = 1 << 20;
 
   /// Stable digest; participates in on-disk cache keys (same caveat as

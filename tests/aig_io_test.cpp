@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "aig/aig_io.hpp"
@@ -88,6 +90,62 @@ TEST(AigIo, RejectsBadHeader) {
 TEST(AigIo, RejectsLatches) {
   std::istringstream is("aag 1 1 1 0 0\n2\n");
   EXPECT_THROW(read_aag(is), std::runtime_error);
+}
+
+// Malformed files are clean runtime_errors: no out-of-bounds access (the
+// ASan build runs these) and no silently different circuit.
+void expect_rejected(const char* text, const char* why) {
+  std::istringstream is(text);
+  try {
+    (void)read_aag(is);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(AigIo, RejectsOutOfRangeLiterals) {
+  // Input literal 4000 in a 3-variable file (was a heap write).
+  expect_rejected("aag 3 2 0 1 1\n2\n4000\n6\n6 2 4\n", "input");
+  // AND fanin var 4000 (was a heap read).
+  expect_rejected("aag 3 2 0 1 1\n2\n4\n6\n6 2 8000\n", "out of range");
+  expect_rejected("aag 3 2 0 1 1\n2\n4\n4000\n6 2 4\n", "output");
+  expect_rejected("aag 3 2 0 1 1\n2\n4\n6\n4000 2 4\n", "lhs");
+}
+
+TEST(AigIo, RejectsUseBeforeDefinition) {
+  // Forward reference: 6 reads 8, defined on the next line.
+  expect_rejected("aag 4 2 0 1 2\n2\n4\n8\n6 8 4\n8 2 4\n", "before");
+  // Self reference.
+  expect_rejected("aag 3 2 0 1 1\n2\n4\n6\n6 6 4\n", "before");
+}
+
+TEST(AigIo, RejectsRedefinitions) {
+  expect_rejected("aag 2 2 0 0 0\n2\n2\n", "input");      // input twice
+  expect_rejected("aag 2 2 0 0 0\n0\n2\n", "input");      // the constant
+  expect_rejected("aag 2 2 0 0 0\n3\n2\n", "input");      // complemented
+  expect_rejected("aag 3 2 0 1 1\n2\n4\n6\n4 2 2\n", "lhs");  // a PI
+  expect_rejected("aag 3 2 0 1 1\n2\n4\n6\n7 2 4\n", "lhs");  // negated
+  expect_rejected("aag 4 2 0 1 2\n2\n4\n8\n6 2 4\n6 2 5\n", "lhs");
+}
+
+TEST(AigIo, RejectsOversizedHeaders) {
+  // I + A wraps around 32 bits to M.
+  expect_rejected("aag 0 4294967295 0 0 1\n", "non-contiguous");
+  // 2M+1 would overflow a literal.
+  expect_rejected("aag 4294967295 4294967295 0 0 0\n", "too many");
+}
+
+TEST(AigIo, AcceptsInputsInAnyOrder) {
+  // Inputs listed as 4, 2: PI 0 is file variable 2, PI 1 is variable 1.
+  std::istringstream is("aag 3 2 0 1 1\n4\n2\n6\n6 2 5\n");
+  const Aig g = read_aag(is);
+  ASSERT_EQ(g.num_pis(), 2u);
+  // Output = var1 & !var2 = PI 1 & !PI 0.
+  EXPECT_TRUE(g.eval_row({0, 1})[0]);
+  EXPECT_FALSE(g.eval_row({1, 1})[0]);
+  EXPECT_FALSE(g.eval_row({0, 0})[0]);
 }
 
 TEST(AigIo, ConstantOutputs) {

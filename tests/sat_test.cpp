@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -322,6 +323,194 @@ TEST(Cec, CexToMintermReplaysThroughSimulation) {
   }
   const auto sim = g.simulate(dump.column_ptrs());
   EXPECT_EQ(data::accuracy(sim[0], dump.labels()), 1.0);
+}
+
+// ------------------------------------------ sweeping cec vs monolithic cec
+
+/// Frozen copy of the monolithic check sat::cec ran before it swept: both
+/// circuits Tseitin-encoded into one solver over shared PI variables, every
+/// output pair XORed into one miter, one solve under the limits. (It
+/// encodes every node, not just the output cones; dangling definitions do
+/// not change the verdict.) The reference of the differential test below.
+sat::CecResult monolithic_cec(const aig::Aig& a, const aig::Aig& b,
+                              const sat::CecLimits& limits) {
+  Solver solver;
+  const Var constant = solver.new_var();
+  solver.add_clause({neg(constant)});
+  std::vector<Var> pis;
+  for (std::uint32_t i = 0; i < a.num_pis(); ++i) {
+    pis.push_back(solver.new_var());
+  }
+  const auto encode = [&](const aig::Aig& g) {
+    std::vector<Lit> lit(g.num_nodes(), pos(constant));
+    for (std::uint32_t i = 0; i < g.num_pis(); ++i) {
+      lit[i + 1] = pos(pis[i]);
+    }
+    const auto edge = [&](aig::Lit l) {
+      return lit[aig::lit_var(l)] ^ static_cast<Lit>(aig::lit_compl(l));
+    };
+    for (std::uint32_t v = g.num_pis() + 1; v < g.num_nodes(); ++v) {
+      const Lit x = edge(g.fanin0(v));
+      const Lit y = edge(g.fanin1(v));
+      const Lit n = pos(solver.new_var());
+      solver.add_clause({sat::lit_not(n), x});
+      solver.add_clause({sat::lit_not(n), y});
+      solver.add_clause({n, sat::lit_not(x), sat::lit_not(y)});
+      lit[v] = n;
+    }
+    std::vector<Lit> outs;
+    for (const aig::Lit o : g.outputs()) {
+      outs.push_back(edge(o));
+    }
+    return outs;
+  };
+  const std::vector<Lit> outs_a = encode(a);
+  const std::vector<Lit> outs_b = encode(b);
+  std::vector<Lit> diffs;
+  for (std::size_t i = 0; i < outs_a.size(); ++i) {
+    diffs.push_back(sat::add_xor(solver, outs_a[i], outs_b[i]));
+  }
+  sat::Budget budget;
+  budget.max_conflicts = limits.conflict_budget;
+  budget.max_propagations = limits.propagation_budget;
+  const Status status = solver.solve({sat::add_or(solver, diffs)}, budget);
+  sat::CecResult result;
+  result.solver_stats = solver.stats();
+  if (status != Status::kSat) {
+    result.status = status == Status::kUnsat ? CecStatus::kEquivalent
+                                             : CecStatus::kUndecided;
+    return result;
+  }
+  result.status = CecStatus::kNotEquivalent;
+  for (const Var v : pis) {
+    result.counterexample.push_back(solver.model_value(pos(v)) ? 1 : 0);
+  }
+  const std::vector<bool> va = a.eval_row(result.counterexample);
+  const std::vector<bool> vb = b.eval_row(result.counterexample);
+  while (va[result.failing_output] == vb[result.failing_output]) {
+    ++result.failing_output;
+  }
+  return result;
+}
+
+/// `g` rebuilt with the first fanin of AND node `v` complemented: usually
+/// a different function, sometimes not (an unobservable node).
+aig::Aig mutate_fanin(const aig::Aig& g, std::uint32_t v) {
+  aig::Aig out(g.num_pis());
+  std::vector<aig::Lit> map(g.num_nodes(), aig::kLitFalse);
+  for (std::uint32_t i = 0; i < g.num_pis(); ++i) {
+    map[i + 1] = out.pi(i);
+  }
+  const auto edge = [&](aig::Lit l) {
+    return aig::lit_notc(map[aig::lit_var(l)], aig::lit_compl(l));
+  };
+  for (std::uint32_t u = g.num_pis() + 1; u < g.num_nodes(); ++u) {
+    const aig::Lit f0 = edge(g.fanin0(u));
+    map[u] = out.and2(u == v ? aig::lit_not(f0) : f0, edge(g.fanin1(u)));
+  }
+  for (const aig::Lit o : g.outputs()) {
+    out.add_output(edge(o));
+  }
+  return out;
+}
+
+/// One circuit computing `x`'s outputs followed by single-output `y`.
+aig::Aig stack_outputs(const aig::Aig& x, const aig::Aig& y) {
+  aig::Aig out = x;
+  out.add_output(aig::append_aig(out, y));
+  return out;
+}
+
+/// A NOT_EQUIVALENT verdict must replay: the cube, as a Dataset row
+/// labeled by `a`, is misclassified by `b` at the failing output under
+/// packed simulation.
+void expect_cex_replays(const sat::CecResult& r, const aig::Aig& a,
+                        const aig::Aig& b, const std::string& where) {
+  ASSERT_EQ(r.counterexample.size(), a.num_pis()) << where;
+  const data::Dataset row =
+      sat::cex_to_minterm(r.counterexample, a, r.failing_output);
+  EXPECT_EQ(a.simulate(row.column_ptrs())[r.failing_output].get(0),
+            row.label(0))
+      << where;
+  EXPECT_NE(b.simulate(row.column_ptrs())[r.failing_output].get(0),
+            row.label(0))
+      << where;
+}
+
+TEST(Cec, SweepingAgreesWithMonolithicMiterOn210Cones) {
+  core::Rng rng(1313);
+  const synth::PassManager manager{synth::SynthOptions{}};
+  const synth::Script resyn2fs = synth::Script::preset("resyn2fs");
+  int differ = 0;
+  int equal = 0;
+  for (int i = 0; i < 210; ++i) {
+    aig::ConeOptions cone;
+    cone.num_inputs = 6 + static_cast<std::uint32_t>(rng.below(7));
+    cone.num_ands = 40 + static_cast<std::uint32_t>(rng.below(160));
+    cone.max_tries = 2;
+    cone.flavor = i % 3 == 0   ? aig::ConeFlavor::kRandom
+                  : i % 3 == 1 ? aig::ConeFlavor::kXorRich
+                               : aig::ConeFlavor::kArith;
+    const aig::Aig g = aig::random_cone(cone, rng);
+    const aig::Aig h = aig::random_cone(cone, rng);
+    const aig::Aig opt = manager.run(g, resyn2fs).circuit;
+    const aig::Aig mutant = mutate_fanin(
+        g, g.num_pis() + 1 +
+               static_cast<std::uint32_t>(rng.below(g.num_ands())));
+    // Two outputs: the first pair equal, the second independent cones.
+    const aig::Aig a = stack_outputs(g, g);
+    const aig::Aig b = stack_outputs(opt, h);
+
+    const std::pair<const aig::Aig*, const aig::Aig*> pairs[] = {
+        {&g, &opt}, {&g, &mutant}, {&a, &b}};
+    for (const auto& [x, y] : pairs) {
+      const std::string where = "cone " + std::to_string(i) + ", " +
+                                std::to_string(y->num_ands()) + " ANDs";
+      const sat::CecResult ref = monolithic_cec(*x, *y, {0, 0});
+      const sat::CecResult got = sat::cec(*x, *y, {0, 0});
+      ASSERT_NE(ref.status, CecStatus::kUndecided) << where;
+      ASSERT_EQ(got.status, ref.status) << where;
+      if (got.status == CecStatus::kNotEquivalent) {
+        expect_cex_replays(got, *x, *y, where);
+        expect_cex_replays(ref, *x, *y, where);
+        ++differ;
+      } else {
+        ++equal;
+      }
+      for (const std::int64_t budget : {1, 10, 100}) {
+        const sat::CecResult capped = sat::cec(*x, *y, {budget, 0});
+        EXPECT_LE(capped.solver_stats.conflicts,
+                  static_cast<std::uint64_t>(budget))
+            << where << ", budget " << budget;
+        if (capped.status == CecStatus::kUndecided) {
+          continue;
+        }
+        ASSERT_EQ(capped.status, ref.status) << where << ", budget " << budget;
+        if (capped.status == CecStatus::kNotEquivalent) {
+          expect_cex_replays(capped, *x, *y, where);
+        }
+      }
+    }
+  }
+  // Both verdicts are exercised, not just one.
+  EXPECT_GT(differ, 200);
+  EXPECT_GT(equal, 200);
+}
+
+TEST(Cec, DeterministicVerdictCubeAndConflicts) {
+  core::Rng rng(99);
+  const aig::Aig g = small_cone(rng, 10);
+  const aig::Aig mutant = mutate_fanin(g, g.num_pis() + 3);
+  for (const sat::CecLimits limits :
+       {sat::CecLimits{0, 0}, sat::CecLimits{5, 0}}) {
+    const sat::CecResult r1 = sat::cec(g, mutant, limits);
+    const sat::CecResult r2 = sat::cec(g, mutant, limits);
+    EXPECT_EQ(r1.status, r2.status);
+    EXPECT_EQ(r1.counterexample, r2.counterexample);
+    EXPECT_EQ(r1.failing_output, r2.failing_output);
+    EXPECT_EQ(r1.solver_stats.conflicts, r2.solver_stats.conflicts);
+    EXPECT_EQ(r1.solver_stats.propagations, r2.solver_stats.propagations);
+  }
 }
 
 // ------------------------------------------------------------------- fraig

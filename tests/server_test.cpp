@@ -642,6 +642,24 @@ TEST(ServiceTest, CecVerdicts) {
   EXPECT_FALSE(handle(service, mismatched).at("ok").as_bool());
 }
 
+TEST(ServiceTest, CecRejectsOutOfRangeAagAndKeepsServing) {
+  Service service;
+  Json request = make_request("cec");
+  request.set("a", aag_text(or2_circuit()));
+  // The AND line reads variable 4000 of a 3-variable file.
+  request.set("b", "aag 3 2 0 1 1\n2\n4\n6\n6 2 8000\n");
+  const Json response = handle(service, request);
+  EXPECT_FALSE(response.at("ok").as_bool());
+  EXPECT_NE(response.at("error").as_string().find("out of range"),
+            std::string::npos)
+      << response.dump();
+
+  request.set("b", aag_text(or2_circuit()));
+  const Json next = handle(service, request);
+  ASSERT_TRUE(next.at("ok").as_bool()) << next.dump();
+  EXPECT_EQ(next.at("verdict").as_string(), "equivalent");
+}
+
 // =========================================================== Service: caches
 
 TEST(ServiceTest, RepeatedLearnIsAMemoryCacheHit) {
