@@ -381,6 +381,167 @@ TEST(ServiceTest, BatchesValidation) {
   EXPECT_FALSE(handle(service, empty_batch).at("ok").as_bool());
 }
 
+/// PLA text over `num_inputs` variables with a few fixed rows — enough for
+/// a learner to return a circuit over every input.
+std::string wide_pla(std::size_t num_inputs) {
+  std::ostringstream os;
+  os << ".i " << num_inputs << "\n.o 1\n";
+  for (std::size_t row = 0; row < 8; ++row) {
+    for (std::size_t bit = 0; bit < num_inputs; ++bit) {
+      os << (((row * 7 + bit * 3) % 5) < 2 ? '1' : '0');
+    }
+    os << ' ' << (row % 3 == 0 ? '1' : '0') << '\n';
+  }
+  os << ".e\n";
+  return os.str();
+}
+
+TEST(ServiceTest, EvalRowErrorsNameTheFirstBadRowInRowOrder) {
+  // The error names the first bad row in row order and says why it is bad,
+  // whatever column the bad byte sits in and whatever kind of row follows.
+  constexpr std::size_t kPis = 70;
+  Service service;
+  const Json learned = handle(service, learn_request(wide_pla(kPis)));
+  ASSERT_TRUE(learned.at("ok").as_bool()) << learned.dump();
+  ASSERT_EQ(learned.at("inputs").as_int(), static_cast<std::int64_t>(kPis));
+  const std::string id = learned.at("model").as_string();
+  const std::string good(kPis, '0');
+  const auto with_char = [&](std::size_t col, char c) {
+    std::string row = good;
+    row[col] = c;
+    return row;
+  };
+  const auto eval_error = [&](const Json& rows) {
+    Json request = make_request("eval");
+    request.set("model", id);
+    request.set("inputs", rows);
+    const Json response = handle(service, request);
+    EXPECT_FALSE(response.at("ok").as_bool()) << response.dump();
+    return response.at("error").as_string();
+  };
+  const auto rows_with = [&](std::size_t n,
+                             const std::vector<std::pair<std::size_t, Json>>&
+                                 replaced) {
+    Json rows = Json::array();
+    for (std::size_t r = 0; r < n; ++r) {
+      Json row(good);
+      for (const auto& [at, value] : replaced) {
+        if (at == r) {
+          row = value;
+        }
+      }
+      rows.push_back(std::move(row));
+    }
+    return rows;
+  };
+  const std::string wrong_shape = "-character 0/1 string";
+
+  // A wrong-length row before a bad-char row in the same 64-row block.
+  EXPECT_EQ(eval_error(rows_with(
+                40, {{10, Json(good.substr(1))}, {20, with_char(0, 'x')}})),
+            "inputs[10] must be a 70" + wrong_shape);
+  EXPECT_EQ(eval_error(rows_with(
+                40, {{10, with_char(5, '2')}, {20, Json(good + "0")}})),
+            "inputs[10] holds a character other than 0/1");
+  // A bad char at column >= 64 of an earlier row against column 0 of a
+  // later row, within one block and across blocks.
+  EXPECT_EQ(eval_error(rows_with(
+                16, {{3, with_char(66, 'x')}, {5, with_char(0, '2')}})),
+            "inputs[3] holds a character other than 0/1");
+  EXPECT_EQ(eval_error(rows_with(
+                130, {{63, with_char(69, ' ')}, {64, with_char(0, 'x')}})),
+            "inputs[63] holds a character other than 0/1");
+  EXPECT_EQ(eval_error(rows_with(
+                130, {{100, with_char(64, '\xff')}, {129, Json(good + "1")}})),
+            "inputs[100] holds a character other than 0/1");
+  // Rows that are not strings.
+  EXPECT_EQ(eval_error(rows_with(
+                8, {{2, Json(std::int64_t{5})}, {4, with_char(1, 'x')}})),
+            "inputs[2] must be a 70" + wrong_shape);
+  EXPECT_EQ(eval_error(rows_with(3, {{0, Json()}})),
+            "inputs[0] must be a 70" + wrong_shape);
+  EXPECT_EQ(eval_error(rows_with(3, {{1, Json::array()}})),
+            "inputs[1] must be a 70" + wrong_shape);
+
+  // A batches[g][r] failure in a later batch, at a row offset that is not
+  // a multiple of 64.
+  Json request = make_request("eval");
+  request.set("model", id);
+  Json batches = Json::array();
+  batches.push_back(rows_with(3, {}));
+  batches.push_back(rows_with(70, {{65, with_char(67, 'x')}}));
+  batches.push_back(rows_with(2, {{0, Json(true)}}));
+  request.set("batches", batches);
+  Json response = handle(service, request);
+  EXPECT_EQ(response.at("error").as_string(),
+            "batches[1][65] holds a character other than 0/1");
+  batches = Json::array();
+  batches.push_back(rows_with(3, {}));
+  batches.push_back(rows_with(70, {}));
+  batches.push_back(rows_with(2, {{1, Json(good.substr(3))}}));
+  request.set("batches", batches);
+  response = handle(service, request);
+  EXPECT_EQ(response.at("error").as_string(),
+            "batches[2][1] must be a 70" + wrong_shape);
+
+  // The service keeps answering, and the same rows evaluate once fixed.
+  batches = Json::array();
+  batches.push_back(rows_with(3, {}));
+  batches.push_back(rows_with(70, {{65, with_char(67, '1')}}));
+  request.set("batches", batches);
+  response = handle(service, request);
+  ASSERT_TRUE(response.at("ok").as_bool()) << response.dump();
+  EXPECT_EQ(response.at("rows").as_int(), 73);
+}
+
+TEST(ServiceTest, WideBatchedEvalMatchesOneRowEvals) {
+  // Every row of batches at unaligned offsets, on a model wider than one
+  // 64-bit word, evaluates as it does alone in a one-row request.
+  constexpr std::size_t kPis = 70;
+  Service service;
+  const Json learned = handle(service, learn_request(wide_pla(kPis)));
+  ASSERT_TRUE(learned.at("ok").as_bool()) << learned.dump();
+  const std::string id = learned.at("model").as_string();
+  core::Rng rng(29);
+  std::vector<std::string> rows;
+  Json batches = Json::array();
+  for (const std::size_t n : {3u, 130u, 61u}) {
+    Json batch = Json::array();
+    for (std::size_t r = 0; r < n; ++r) {
+      std::string row(kPis, '0');
+      for (char& c : row) {
+        c = rng.flip(0.5) ? '1' : '0';
+      }
+      rows.push_back(row);
+      batch.push_back(Json(row));
+    }
+    batches.push_back(std::move(batch));
+  }
+  Json request = make_request("eval");
+  request.set("model", id);
+  request.set("batches", std::move(batches));
+  const Json response = handle(service, request);
+  ASSERT_TRUE(response.at("ok").as_bool()) << response.dump();
+  std::string batched;
+  for (std::size_t b = 0; b < 3; ++b) {
+    batched += response.at("batches").at(b).at("outputs").at(0).as_string();
+  }
+  ASSERT_EQ(batched.size(), rows.size());
+  std::string alone;
+  for (const std::string& row : rows) {
+    Json one = make_request("eval");
+    one.set("model", id);
+    Json inputs = Json::array();
+    inputs.push_back(Json(row));
+    one.set("inputs", std::move(inputs));
+    alone += handle(service, one).at("outputs").at(0).as_string();
+  }
+  EXPECT_EQ(batched, alone);
+  // A learner that ignored the rows would make this check vacuous.
+  EXPECT_NE(batched.find('0'), std::string::npos);
+  EXPECT_NE(batched.find('1'), std::string::npos);
+}
+
 // ====================================================== Service: happy path
 
 TEST(ServiceTest, LearnThenEvalMatchesTheFunction) {
