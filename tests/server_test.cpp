@@ -21,6 +21,7 @@
 #include "aig/aig.hpp"
 #include "aig/aig_io.hpp"
 #include "aig/aig_random.hpp"
+#include "core/bits.hpp"
 #include "core/rng.hpp"
 #include "obs/trace.hpp"
 #include "sat/cec.hpp"
@@ -163,6 +164,65 @@ TEST(JsonTest, NumbersKeepIntegerness) {
   // Shortest-round-trip doubles re-parse bit-exactly.
   const double x = 0.1234567890123456789;
   EXPECT_EQ(Json(x).dump(), Json::parse(Json(x).dump()).dump());
+}
+
+/// Bytes a string scan must stop at ('"', '\\', 0x00-0x1f) and bytes it
+/// must run past (0x7f, 0x80-0xff, UTF-8 sequences, plain ASCII), as
+/// strings so a multi-byte sequence counts as one placement.
+std::vector<std::string> scan_probe_bytes() {
+  std::vector<std::string> probes = {"\"", "\\", "\x7f", "a", "/", " ",
+                                     "\xc3\xa9", "\xf0\x9f\x98\x80"};
+  for (int b = 0x00; b < 0x20; ++b) {
+    probes.emplace_back(1, static_cast<char>(b));
+  }
+  for (int b = 0x80; b <= 0xff; ++b) {
+    probes.emplace_back(1, static_cast<char>(b));
+  }
+  return probes;
+}
+
+TEST(JsonTest, StringScanOutcomesArePinned) {
+  // Every probe byte at every offset 0-17 of a string body, followed by
+  // 0-9 plain bytes, so it also sits within 8 bytes of the end of the text;
+  // each body is parsed as a document, inside an array (which also runs
+  // the element-count prescan), as an object key, and unterminated. The
+  // transcript of parsed values (re-dumped) and error messages, including
+  // every "at byte N", is pinned by a hash taken from the byte-at-a-time
+  // scanner this parser used to have.
+  std::string transcript;
+  std::size_t values = 0;
+  std::size_t errors = 0;
+  for (const std::string& probe : scan_probe_bytes()) {
+    for (std::size_t at = 0; at <= 17; ++at) {
+      for (std::size_t tail = 0; tail <= 9; ++tail) {
+        std::string body;
+        for (std::size_t i = 0; i < at; ++i) {
+          body.push_back(i % 3 == 0 ? '1' : '0');
+        }
+        body += probe;
+        for (std::size_t i = 0; i < tail; ++i) {
+          body.push_back(i % 2 == 0 ? 'n' : '0');
+        }
+        for (const std::string& text :
+             {"\"" + body + "\"", "[\"0101\",\"" + body + "\",\"11\"]",
+              "{\"" + body + "\":1}", "\"" + body}) {
+          try {
+            transcript += Json::parse(text).dump();
+            ++values;
+          } catch (const server::JsonError& e) {
+            transcript += e.what();
+            ++errors;
+          }
+          transcript.push_back('\n');
+        }
+      }
+    }
+  }
+  EXPECT_EQ(values + errors, 168u * 18 * 10 * 4);
+  EXPECT_EQ(values, 72864u);
+  EXPECT_EQ(errors, 48096u);
+  EXPECT_EQ(core::fnv1a(transcript.data(), transcript.size()),
+            7617503486224319200ULL);
 }
 
 TEST(JsonTest, ModelIdRoundTrip) {
