@@ -1,12 +1,30 @@
 #include "aig/aig_io.hpp"
 
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace lsml::aig {
+
+namespace {
+
+/// Bytes left in `is` past its read position, or -1 when the stream cannot
+/// seek (a pipe).
+std::streamoff bytes_left(std::istream& is) {
+  std::streambuf* buf = is.rdbuf();
+  const std::streampos here = buf->pubseekoff(0, std::ios::cur, std::ios::in);
+  if (here == std::streampos(-1)) {
+    return -1;
+  }
+  const std::streampos end = buf->pubseekoff(0, std::ios::end, std::ios::in);
+  buf->pubseekpos(here, std::ios::in);
+  return end == std::streampos(-1) ? -1 : end - here;
+}
+
+}  // namespace
 
 void write_aag(const Aig& aig, std::ostream& os) {
   // A default/moved-from Aig can have zero nodes (not even the constant);
@@ -40,6 +58,13 @@ void write_aag_file(const Aig& aig, const std::string& path) {
 }
 
 Aig read_aag(std::istream& is) {
+  if (bytes_left(is) < 0) {
+    // A pipe cannot say how much text follows; buffer it so the header
+    // check below can.
+    std::istringstream buffered(
+        std::string(std::istreambuf_iterator<char>(is), {}));
+    return read_aag(buffered);
+  }
   std::string magic;
   std::uint32_t m = 0;
   std::uint32_t i = 0;
@@ -59,6 +84,15 @@ Aig read_aag(std::istream& is) {
   constexpr std::uint32_t kMaxVar = 0x7ffffffeu;
   if (m > kMaxVar) {
     throw std::runtime_error("read_aag: too many variables");
+  }
+  // Nothing is sized from the header before it is checked against the
+  // text: each of the I + O + 3A literals after it takes a digit and the
+  // whitespace before it, so a small request cannot make the reader
+  // allocate for billions of nodes.
+  const std::uint64_t literals = static_cast<std::uint64_t>(i) + o + 3ULL * a;
+  if (2 * literals > static_cast<std::uint64_t>(bytes_left(is))) {
+    throw std::runtime_error(
+        "read_aag: header declares more literals than the text holds");
   }
   // A literal names a variable in [0, M]; each variable is defined once, by
   // the constant, an input line or an AND line, before any AND line uses it.

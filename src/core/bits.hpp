@@ -6,6 +6,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -104,5 +106,22 @@ class BitVec {
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;
 };
+
+/// Packs minterm rows into bit columns: character c of rows[r] becomes bit
+/// `offset + r` of columns[c] ('0' clears it, '1' sets it); bits outside
+/// [offset, offset + rows.size()) are left as they are. Every column must
+/// hold at least offset + rows.size() bits.
+///
+/// Returns rows.size() when every row is good, else the index of the first
+/// bad row in row order: one whose length is not columns.size(), one that
+/// holds a byte other than '0'/'1', or one with a null data() (how callers
+/// pass an element that is not a string at all). On failure the columns'
+/// bits for the rows in range are unspecified.
+///
+/// Works 64 rows x 64 columns at a time: eight characters per multiply
+/// into one packed row word, then a 64x64 bit transpose per block.
+std::size_t pack_rows_into_columns(std::span<const std::string_view> rows,
+                                   std::size_t offset,
+                                   std::span<BitVec> columns);
 
 }  // namespace lsml::core

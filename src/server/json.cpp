@@ -1,13 +1,35 @@
 #include "server/json.hpp"
 
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace lsml::server {
 
 namespace {
+
+static_assert(std::endian::native == std::endian::little,
+              "the string scan loads eight bytes per word, the first byte "
+              "in the low bits");
+
+constexpr std::uint64_t kEachByte = 0x0101010101010101ULL;
+constexpr std::uint64_t kByteHighBits = 0x8080808080808080ULL;
+
+/// Bit 7 of a byte is set for the first byte of `x` (eight text bytes, the
+/// first in the low bits) that is '"', '\\' or below 0x20. Bytes above
+/// it may be marked too (a subtraction borrow runs upward), so only the
+/// lowest mark means anything.
+std::uint64_t special_byte_marks(std::uint64_t x) {
+  const std::uint64_t quote = x ^ (kEachByte * '"');
+  const std::uint64_t backslash = x ^ (kEachByte * '\\');
+  return (((quote - kEachByte) & ~quote) |
+          ((backslash - kEachByte) & ~backslash) |
+          ((x - kEachByte * 0x20) & ~x)) &
+         kByteHighBits;
+}
 
 [[noreturn]] void fail(const std::string& what) { throw JsonError(what); }
 
@@ -18,6 +40,25 @@ void type_check(bool ok, const char* want) {
 }
 
 }  // namespace
+
+std::size_t find_special_byte(const char* data, std::size_t from,
+                              std::size_t size) {
+  std::size_t i = from;
+  for (; i + 8 <= size; i += 8) {
+    std::uint64_t x = 0;
+    std::memcpy(&x, data + i, 8);
+    if (const std::uint64_t marks = special_byte_marks(x); marks != 0) {
+      return i + static_cast<std::size_t>(std::countr_zero(marks)) / 8;
+    }
+  }
+  for (; i < size; ++i) {
+    const auto u = static_cast<unsigned char>(data[i]);
+    if (u == '"' || u == '\\' || u < 0x20) {
+      break;
+    }
+  }
+  return i;
+}
 
 bool Json::as_bool() const {
   type_check(type_ == Type::kBool, "a bool");
@@ -129,14 +170,7 @@ void dump_string(const std::string& s, std::string* out) {
   // clean runs.
   std::size_t i = 0;
   while (i < s.size()) {
-    std::size_t run = i;
-    while (run < s.size()) {
-      const auto u = static_cast<unsigned char>(s[run]);
-      if (u < 0x20 || u == '"' || u == '\\') {
-        break;
-      }
-      ++run;
-    }
+    const std::size_t run = find_special_byte(s.data(), i, s.size());
     out->append(s, i, run - i);
     if (run >= s.size()) {
       break;
@@ -376,14 +410,22 @@ class Parser {
     std::size_t depth = 0;
     bool in_string = false;
     for (std::size_t i = pos_; i < text_.size(); ++i) {
-      const char c = text_[i];
       if (in_string) {
-        if (c == '\\') {
+        // Skip plain bytes eight at a time; a control byte stops the scan
+        // too but is ordinary here.
+        i = find_special_byte(text_.data(), i, text_.size());
+        if (i == text_.size()) {
+          break;
+        }
+        if (text_[i] == '\\') {
           ++i;
-        } else if (c == '"') {
+        } else if (text_[i] == '"') {
           in_string = false;
         }
-      } else if (c == '"') {
+        continue;
+      }
+      const char c = text_[i];
+      if (c == '"') {
         in_string = true;
       } else if (c == '[' || c == '{') {
         ++depth;
@@ -474,17 +516,7 @@ class Parser {
   /// byte-at-a-time push_back — request lines are dominated by long clean
   /// strings (minterm rows, PLA payloads).
   std::size_t scan_plain_run() const {
-    const char* data = text_.data();
-    std::size_t i = pos_;
-    const std::size_t n = text_.size();
-    while (i < n) {
-      const unsigned char c = static_cast<unsigned char>(data[i]);
-      if (c == '"' || c == '\\' || c < 0x20) {
-        break;
-      }
-      ++i;
-    }
-    return i;
+    return find_special_byte(text_.data(), pos_, text_.size());
   }
 
   std::string parse_string() {

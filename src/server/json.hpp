@@ -119,4 +119,11 @@ class Json {
   std::vector<std::pair<std::string, Json>> object_;
 };
 
+/// Index of the first byte in data[from, size) that a JSON string cannot
+/// hold raw — '"', '\\' or a control byte below 0x20 — or `size` if there
+/// is none. Scans eight bytes per step; parse() and dump() both find the
+/// ends of plain string runs with it.
+std::size_t find_special_byte(const char* data, std::size_t from,
+                              std::size_t size);
+
 }  // namespace lsml::server

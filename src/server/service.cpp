@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -453,22 +454,23 @@ void parse_rows_into_columns(const Json& rows_json, std::size_t num_pis,
                              std::vector<core::BitVec>* columns,
                              const std::string& where) {
   const std::size_t rows = rows_json.size();
+  // A non-string element travels as a null view, which the kernel rejects.
+  std::vector<std::string_view> views(rows);
   for (std::size_t row = 0; row < rows; ++row) {
     const Json& line = rows_json.at(row);
-    if (!line.is_string() || line.as_string().size() != num_pis) {
-      throw RequestError(where + "[" + std::to_string(row) + "] must be a " +
-                         std::to_string(num_pis) + "-character 0/1 string");
-    }
-    const std::string& bits = line.as_string();
-    for (std::size_t col = 0; col < num_pis; ++col) {
-      if (bits[col] == '1') {
-        (*columns)[col].set(offset + row, true);
-      } else if (bits[col] != '0') {
-        throw RequestError(where + "[" + std::to_string(row) +
-                           "] holds a character other than 0/1");
-      }
-    }
+    views[row] = line.is_string() ? std::string_view(line.as_string())
+                                  : std::string_view();
   }
+  const std::size_t bad = core::pack_rows_into_columns(views, offset, *columns);
+  if (bad == rows) {
+    return;
+  }
+  if (views[bad].data() == nullptr || views[bad].size() != num_pis) {
+    throw RequestError(where + "[" + std::to_string(bad) + "] must be a " +
+                       std::to_string(num_pis) + "-character 0/1 string");
+  }
+  throw RequestError(where + "[" + std::to_string(bad) +
+                     "] holds a character other than 0/1");
 }
 
 /// Copies `n` bits from src[src_off..] to dst[dst_off..]. Word-blasts when

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <istream>
 #include <sstream>
+#include <streambuf>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -135,6 +137,49 @@ TEST(AigIo, RejectsOversizedHeaders) {
   expect_rejected("aag 0 4294967295 0 0 1\n", "non-contiguous");
   // 2M+1 would overflow a literal.
   expect_rejected("aag 4294967295 4294967295 0 0 0\n", "too many");
+}
+
+TEST(AigIo, RejectsHeadersTheTextCannotHold) {
+  // ~2e9 inputs (or outputs, or ANDs) declared by a one-line file: the
+  // reader used to allocate for all of them before reading a literal.
+  expect_rejected("aag 2000000000 2000000000 0 0 0\n", "text holds");
+  expect_rejected("aag 0 0 0 2000000000 0\n", "text holds");
+  expect_rejected("aag 2000000000 0 0 0 2000000000\n2 0 0\n", "text holds");
+  // One literal short of the declared counts.
+  expect_rejected("aag 3 2 0 1 1\n2\n4\n6\n6 2\n", "text holds");
+}
+
+TEST(AigIo, AcceptsTheTightestText) {
+  // Each literal takes exactly one digit and one separator.
+  std::istringstream is("aag 1 1 0 1 0\n2\n2");
+  const Aig g = read_aag(is);
+  EXPECT_EQ(g.num_pis(), 1u);
+  EXPECT_TRUE(g.eval_row({1})[0]);
+}
+
+/// A stream that cannot seek, like a pipe.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string text) : text_(std::move(text)) {
+    setg(text_.data(), text_.data(), text_.data() + text_.size());
+  }
+
+ private:
+  std::string text_;
+};
+
+TEST(AigIo, ReadsFromStreamsThatCannotSeek) {
+  Aig g(2);
+  g.add_output(g.and2(g.pi(0), lit_not(g.pi(1))));
+  std::ostringstream os;
+  write_aag(g, os);
+  PipeBuf good(os.str());
+  std::istream good_is(&good);
+  EXPECT_EQ(read_aag(good_is).content_hash(), g.content_hash());
+
+  PipeBuf huge("aag 2000000000 2000000000 0 0 0\n");
+  std::istream huge_is(&huge);
+  EXPECT_THROW((void)read_aag(huge_is), std::runtime_error);
 }
 
 TEST(AigIo, AcceptsInputsInAnyOrder) {

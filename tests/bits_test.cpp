@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
+#include <vector>
 
 #include "core/bits.hpp"
 #include "core/config.hpp"
@@ -63,18 +65,17 @@ TEST(BitVec, CountHelpers) {
   EXPECT_EQ(a.count_equal(b), 257u - (a ^ b).count());
 }
 
+bool tail_clean(const BitVec& v) {
+  const std::size_t rem = v.size() & 63;
+  return rem == 0 || v.num_words() == 0 ||
+         (v.word(v.num_words() - 1) & ~((1ULL << rem) - 1)) == 0;
+}
+
 // The tail-zero invariant is the contract word-level code (SimEngine,
 // fraig signatures, popcount reductions) relies on: no operation may
 // leave a set bit past size() in the last word.
 TEST(BitVec, WordLevelOpsNeverLeakPastSize) {
   Rng rng(31);
-  const auto tail_clean = [](const BitVec& v) {
-    const std::size_t rem = v.size() & 63;
-    if (rem == 0 || v.num_words() == 0) {
-      return true;
-    }
-    return (v.word(v.num_words() - 1) & ~((1ULL << rem) - 1)) == 0;
-  };
   for (int round = 0; round < 200; ++round) {
     const auto n = static_cast<std::size_t>(1 + rng.below(300));
     BitVec a(n);
@@ -121,6 +122,147 @@ TEST(BitVec, MaskTailRestoresInvariantAfterRawWrite) {
   BitVec empty;
   empty.mask_tail();
   EXPECT_EQ(empty.size(), 0u);
+}
+
+// Frozen copy of the per-bit row parser pack_rows_into_columns replaced in
+// the serve eval path: one BitVec::set per character, on zeroed columns.
+// Returns the first bad row (a null view marks a non-string) instead of
+// throwing.
+std::size_t reference_pack(const std::vector<std::string_view>& rows,
+                           std::size_t num_pis, std::size_t offset,
+                           std::vector<BitVec>* columns) {
+  for (std::size_t row = 0; row < rows.size(); ++row) {
+    if (rows[row].data() == nullptr || rows[row].size() != num_pis) {
+      return row;
+    }
+    const std::string_view bits = rows[row];
+    for (std::size_t col = 0; col < num_pis; ++col) {
+      if (bits[col] == '1') {
+        (*columns)[col].set(offset + row, true);
+      } else if (bits[col] != '0') {
+        return row;
+      }
+    }
+  }
+  return rows.size();
+}
+
+/// Rows held in exact-size heap buffers, so the sanitized build catches a
+/// load past the end of any row.
+struct RowSet {
+  std::vector<std::vector<char>> buffers;
+  std::vector<std::string_view> views;
+
+  RowSet(std::size_t num_rows, std::size_t width, Rng& rng) {
+    buffers.reserve(num_rows);
+    for (std::size_t r = 0; r < num_rows; ++r) {
+      std::vector<char>& row = buffers.emplace_back(width);
+      for (char& c : row) {
+        c = rng.flip(0.5) ? '1' : '0';
+      }
+    }
+    refresh();
+  }
+  void refresh() {
+    views.clear();
+    for (const auto& row : buffers) {
+      views.emplace_back(row.data(), row.size());
+    }
+  }
+};
+
+TEST(PackRows, MatchesFrozenPerBitParser) {
+  Rng rng(11);
+  for (const std::size_t width : {1, 7, 8, 9, 63, 64, 65, 100, 130}) {
+    for (const std::size_t num_rows : {1, 63, 64, 65, 200, 4096}) {
+      for (const std::size_t offset : {0, 1, 63, 64, 100}) {
+        RowSet rows(num_rows, width, rng);
+        // Columns end exactly at the last row half the time.
+        const std::size_t size = offset + num_rows + (rng.flip(0.5) ? 0 : 3);
+        std::vector<BitVec> expect(width, BitVec(size));
+        ASSERT_EQ(reference_pack(rows.views, width, offset, &expect),
+                  num_rows);
+        std::vector<BitVec> got(width, BitVec(size));
+        ASSERT_EQ(pack_rows_into_columns(rows.views, offset, got), num_rows);
+        // Bits outside the rows' range keep their value.
+        std::vector<BitVec> over(width, BitVec(size, true));
+        ASSERT_EQ(pack_rows_into_columns(rows.views, offset, over), num_rows);
+        for (std::size_t c = 0; c < width; ++c) {
+          ASSERT_EQ(got[c], expect[c]) << "width " << width << " rows "
+                                       << num_rows << " offset " << offset
+                                       << " column " << c;
+          ASSERT_TRUE(tail_clean(got[c]));
+          ASSERT_TRUE(tail_clean(over[c]));
+          for (std::size_t i = 0; i < size; ++i) {
+            const bool in_range = i >= offset && i < offset + num_rows;
+            ASSERT_EQ(over[c].get(i), in_range ? expect[c].get(i) : true)
+                << "width " << width << " offset " << offset << " bit " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PackRows, FirstBadRowMatchesFrozenPerBitParser) {
+  Rng rng(12);
+  for (const std::size_t width : {1, 7, 8, 9, 63, 64, 65, 100, 130}) {
+    for (const std::size_t num_rows : {1, 63, 64, 65, 200}) {
+      for (int trial = 0; trial < 20; ++trial) {
+        RowSet rows(num_rows, width, rng);
+        // One to three bad rows of random kinds at random places.
+        const int num_bad = 1 + static_cast<int>(rng.below(3));
+        for (int b = 0; b < num_bad; ++b) {
+          std::vector<char>& row = rows.buffers[rng.below(num_rows)];
+          switch (rng.below(4)) {
+            case 0:
+              row.push_back('0');  // one character too many
+              break;
+            case 1:
+              if (!row.empty()) {
+                row.pop_back();  // one too few
+              }
+              break;
+            case 2:
+              row.clear();
+              row.shrink_to_fit();  // data() may turn null
+              break;
+            default:
+              // Any byte but '0'/'1', at any column.
+              if (!row.empty()) {
+                const auto value = static_cast<int>(rng.below(254));
+                row[rng.below(row.size())] =
+                    static_cast<char>(value >= '0' ? value + 2 : value);
+              }
+          }
+        }
+        rows.refresh();
+        if (rng.flip(0.3)) {
+          rows.views[rng.below(num_rows)] = std::string_view();  // no string
+        }
+        const std::size_t offset = rng.below(130);
+        std::vector<BitVec> expect(width, BitVec(offset + num_rows));
+        std::vector<BitVec> got(width, BitVec(offset + num_rows));
+        ASSERT_EQ(pack_rows_into_columns(rows.views, offset, got),
+                  reference_pack(rows.views, width, offset, &expect))
+            << "width " << width << " rows " << num_rows;
+        for (const BitVec& column : got) {
+          ASSERT_TRUE(tail_clean(column));
+        }
+      }
+    }
+  }
+}
+
+TEST(PackRows, ZeroWidthRowsOnlyValidate) {
+  const std::vector<std::string_view> empty_rows(70, std::string_view(""));
+  std::vector<BitVec> none;
+  EXPECT_EQ(pack_rows_into_columns(empty_rows, 0, none), 70u);
+  std::vector<std::string_view> with_bad = empty_rows;
+  with_bad[66] = "0";
+  with_bad[67] = std::string_view();
+  EXPECT_EQ(pack_rows_into_columns(with_bad, 0, none), 66u);
+  EXPECT_EQ(pack_rows_into_columns({}, 5, none), 0u);
 }
 
 TEST(BitVec, HashDistinguishes) {

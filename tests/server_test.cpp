@@ -181,6 +181,55 @@ std::vector<std::string> scan_probe_bytes() {
   return probes;
 }
 
+// Frozen copy of the byte-at-a-time scan the parser and serializer used
+// before find_special_byte.
+std::size_t reference_find_special_byte(const char* data, std::size_t from,
+                                        std::size_t size) {
+  std::size_t i = from;
+  while (i < size) {
+    const unsigned char c = static_cast<unsigned char>(data[i]);
+    if (c == '"' || c == '\\' || c < 0x20) {
+      break;
+    }
+    ++i;
+  }
+  return i;
+}
+
+TEST(JsonTest, StringScanMatchesFrozenByteScanner) {
+  // Each probe at every offset 0-17 from every start, followed by 0-9
+  // plain bytes, in an exact-size heap buffer (the sanitized build flags
+  // any read past the end). A second probe after the first checks that
+  // the scan stops at the first one.
+  std::size_t stops = 0;
+  for (const std::string& probe : scan_probe_bytes()) {
+    for (const std::string& second : {std::string(), std::string("\""),
+                                      std::string(1, '\x01')}) {
+      for (std::size_t at = 0; at <= 17; ++at) {
+        for (std::size_t tail = 0; tail <= 9; ++tail) {
+          std::string text(at, '0');
+          text += probe;
+          text.append(tail, 'a');
+          text += second;
+          const std::vector<char> buffer(text.begin(), text.end());
+          for (std::size_t from = 0; from <= buffer.size(); ++from) {
+            const std::size_t want = reference_find_special_byte(
+                buffer.data(), from, buffer.size());
+            ASSERT_EQ(server::find_special_byte(buffer.data(), from,
+                                                buffer.size()),
+                      want)
+                << "probe 0x" << std::hex
+                << static_cast<int>(static_cast<unsigned char>(probe[0]))
+                << std::dec << " at " << at << " from " << from;
+            stops += want < buffer.size() ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(stops, 0u);
+}
+
 TEST(JsonTest, StringScanOutcomesArePinned) {
   // Every probe byte at every offset 0-17 of a string body, followed by
   // 0-9 plain bytes, so it also sits within 8 bytes of the end of the text;
@@ -879,6 +928,33 @@ TEST(ServiceTest, CecRejectsOutOfRangeAagAndKeepsServing) {
   const Json next = handle(service, request);
   ASSERT_TRUE(next.at("ok").as_bool()) << next.dump();
   EXPECT_EQ(next.at("verdict").as_string(), "equivalent");
+}
+
+TEST(ServiceTest, AagHeaderTooLargeForItsTextIsAnErrorAndServingGoesOn) {
+  // A one-line AIGER text declaring 2e9 inputs and ANDs once made the
+  // reader allocate gigabytes before it read a literal.
+  Service service;
+  const std::string huge = "aag 2000000000 2000000000 0 0 0\n";
+  Json cec = make_request("cec");
+  cec.set("a", huge);
+  cec.set("b", aag_text(or2_circuit()));
+  Json response = handle(service, cec);
+  EXPECT_FALSE(response.at("ok").as_bool());
+  EXPECT_EQ(response.at("error").as_string(),
+            "bad AIGER in 'a': read_aag: header declares more literals than "
+            "the text holds");
+  Json synth = make_request("synth");
+  synth.set("aag", "aag 1000000000 0 0 0 1000000000\n2 0 0\n");
+  response = handle(service, synth);
+  EXPECT_FALSE(response.at("ok").as_bool());
+  EXPECT_NE(response.at("error").as_string().find("text holds"),
+            std::string::npos)
+      << response.dump();
+
+  cec.set("a", aag_text(or2_circuit()));
+  response = handle(service, cec);
+  ASSERT_TRUE(response.at("ok").as_bool()) << response.dump();
+  EXPECT_EQ(response.at("verdict").as_string(), "equivalent");
 }
 
 // =========================================================== Service: caches
