@@ -274,6 +274,103 @@ TEST(JsonTest, StringScanOutcomesArePinned) {
             7617503486224319200ULL);
 }
 
+/// `parse(text).dump()`, or the JsonError message when parsing throws.
+std::string parse_outcome(const std::string& text) {
+  try {
+    return Json::parse(text).dump();
+  } catch (const server::JsonError& e) {
+    return std::string("error: ") + e.what();
+  }
+}
+
+/// A JSON array of `k` distinct row strings followed by `tail`.
+std::string rows_then(std::size_t k, const std::string& tail) {
+  std::string text = "[";
+  for (std::size_t i = 0; i < k; ++i) {
+    text += "\"r" + std::to_string(i) + "\",";
+  }
+  return text + tail + "]";
+}
+
+TEST(JsonTest, StringArrayRoundTripsArePinned) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"[]", "[]"},
+      {" [ ] ", "[]"},
+      {"[\"\"]", "[\"\"]"},
+      {"[\"\",\"\",\"x\",\"\"]", "[\"\",\"\",\"x\",\"\"]"},
+      {"[ \"01\" ,\n\"10\"\t]", "[\"01\",\"10\"]"},
+      {R"(["a\"b","c\\d","e\nf","\u0031","\ud83d\ude00","\/"])",
+       "[\"a\\\"b\",\"c\\\\d\",\"e\\nf\",\"1\",\"\xf0\x9f\x98\x80\",\"/\"]"},
+      {R"(["01","01"])", "[\"01\",\"01\"]"},
+      {"[[\"01\",\"10\"],[\"11\"],[],[\"\"]]",
+       "[[\"01\",\"10\"],[\"11\"],[],[\"\"]]"},
+      {"[\"a\",[\"b\",\"c\"],\"d\"]", "[\"a\",[\"b\",\"c\"],\"d\"]"},
+      {R"(["a" "b"])", "error: expected ',' or ']' in array at byte 6"},
+      {R"(["a",])", "error: bad number at byte 5"},
+      {R"(["a",1,])", "error: bad number at byte 7"},
+      {R"(["a)", "error: unterminated string at byte 3"},
+      {R"(["a\)", "error: truncated escape at byte 4"},
+      {R"(["a","b)", "error: unterminated string at byte 7"},
+      {R"(["a","b")", "error: unexpected end of JSON text at byte 8"},
+      {R"(["a",)", "error: unexpected end of JSON text at byte 5"},
+      {R"(["a\q"])", "error: unknown escape at byte 5"},
+      {R"(["a","\ud800"])", "error: unpaired UTF-16 surrogate at byte 12"},
+      {R"(["a"] x)", "error: trailing characters after JSON value at byte 6"},
+  };
+  for (const auto& [text, want] : cases) {
+    EXPECT_EQ(parse_outcome(text), want) << text;
+  }
+  // A non-string element after k strings, then more strings after it.
+  for (const std::size_t k : {1u, 2u, 64u, 65u}) {
+    for (const std::string& tail :
+         {std::string("7"), std::string("null"), std::string("true"),
+          std::string("-1.5"), std::string("[\"x\"]"),
+          std::string("{\"k\":\"v\"}"), std::string("7,\"after\",\"\"")}) {
+      const std::string text = rows_then(k, tail);
+      EXPECT_EQ(parse_outcome(text), text) << text;
+      const Json parsed = Json::parse(text);
+      ASSERT_EQ(parsed.size(), k + (tail.back() == '"' ? 3 : 1)) << text;
+      EXPECT_EQ(parsed.at(k - 1).as_string(),
+                std::string(1, 'r').append(std::to_string(k - 1)));
+      EXPECT_FALSE(parsed.at(k).is_string());
+    }
+    // ...and malformed after k strings: the message and byte are the ones
+    // a shorter array gets, shifted by the prefix.
+    const std::size_t prefix = rows_then(k, "").size() - 1;
+    EXPECT_EQ(parse_outcome(rows_then(k, "1,")),
+              "error: bad number at byte " + std::to_string(prefix + 2));
+    EXPECT_EQ(parse_outcome(rows_then(k, "\"a\" \"b\"")),
+              "error: expected ',' or ']' in array at byte " +
+                  std::to_string(prefix + 5));
+  }
+  // Accessors on string array elements.
+  const Json parsed = Json::parse(R"(["01","1\n0",""])");
+  ASSERT_TRUE(parsed.is_array());
+  ASSERT_EQ(parsed.size(), 3u);
+  EXPECT_EQ(parsed.at(0).as_string(), "01");
+  EXPECT_EQ(parsed.at(1).as_string(), "1\n0");
+  EXPECT_EQ(parsed.at(2).as_string(), "");
+  EXPECT_TRUE(parsed.at(2).is_string());
+  const auto message = [](const std::function<void()>& f) {
+    try {
+      f();
+    } catch (const server::JsonError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message([&] { (void)parsed.at(3); }),
+            "JSON array index out of range");
+  EXPECT_EQ(message([&] { (void)parsed.at(0).as_int(); }),
+            "JSON value is not a number");
+  EXPECT_EQ(message([&] { (void)parsed.as_string(); }),
+            "JSON value is not a string");
+  EXPECT_EQ(message([&] { (void)parsed.at("k"); }), "missing JSON member 'k'");
+  EXPECT_EQ(message([&] { (void)parsed.members(); }),
+            "JSON value is not an object");
+  EXPECT_EQ(parsed.find("k"), nullptr);
+}
+
 TEST(JsonTest, ModelIdRoundTrip) {
   const std::string id = server::model_id_from_hash(0x0123456789abcdefULL);
   EXPECT_EQ(id, "m-0123456789abcdef");
@@ -675,6 +772,34 @@ TEST(ServiceTest, LearnThenEvalMatchesTheFunction) {
   ASSERT_TRUE(evaled.at("ok").as_bool());
   EXPECT_EQ(evaled.at("rows").as_int(), 4);
   EXPECT_EQ(evaled.at("outputs").at(0).as_string(), "0111");
+}
+
+TEST(ServiceTest, EscapedEvalRowsMatchPlainRows) {
+  // A row spelled with escapes ("0\u0031" for "01") is the same row: the
+  // response is byte-identical to the one for the plain spelling, in
+  // `inputs` and in `batches`.
+  Service service;
+  const Json learned = handle(
+      service,
+      learn_request(pla_for(2, [](std::uint32_t r) { return r == 2; })));
+  ASSERT_TRUE(learned.at("ok").as_bool());
+  const std::string head =
+      R"({"type":"eval","model":")" + learned.at("model").as_string() + "\",";
+  const std::string plain =
+      service.handle_line(head + R"("inputs":["00","01","10","11"]})");
+  EXPECT_NE(plain.find(R"("outputs":["0100"])"), std::string::npos) << plain;
+  EXPECT_EQ(service.handle_line(head + R"("inputs":["00","0\u0031",)"
+                                       R"("1\u0030","\u0031\u0031"]})"),
+            plain);
+  const std::string batched_plain =
+      service.handle_line(head + R"("batches":[["01"],["00","10","11"]]})");
+  EXPECT_EQ(service.handle_line(head + R"("batches":[["0\u0031"],)"
+                                       R"(["00","\u00310","11"]]})"),
+            batched_plain);
+  // An escape that decodes to a non-0/1 byte is the usual row error.
+  EXPECT_NE(service.handle_line(head + R"("inputs":["00","0\n"]})")
+                .find("inputs[1] holds a character other than 0/1"),
+            std::string::npos);
 }
 
 TEST(ServiceTest, BatchedEvalRunsOneSweepAndMatchesPerBatchEvals) {
