@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 
 namespace lsml::server {
 
@@ -40,6 +41,31 @@ void type_check(bool ok, const char* want) {
 }
 
 }  // namespace
+
+/// An all-string array: element i is bytes[ends[i-1], ends[i]) (from 0 for
+/// i = 0). Immutable once built except for the element Jsons, which at(i)
+/// builds once under `once`, so const access from many threads is safe.
+struct Json::PackedStrings {
+  std::string bytes;
+  std::vector<std::size_t> ends;
+  mutable std::once_flag once;
+  mutable std::vector<Json> elements;
+
+  [[nodiscard]] std::string_view view(std::size_t i) const {
+    const std::size_t begin = i == 0 ? 0 : ends[i - 1];
+    return {bytes.data() + begin, ends[i] - begin};
+  }
+
+  const std::vector<Json>& built_elements() const {
+    std::call_once(once, [this] {
+      elements.reserve(ends.size());
+      for (std::size_t i = 0; i < ends.size(); ++i) {
+        elements.emplace_back(std::string(view(i)));
+      }
+    });
+    return elements;
+  }
+};
 
 std::size_t find_special_byte(const char* data, std::size_t from,
                               std::size_t size) {
@@ -82,30 +108,16 @@ const std::string& Json::as_string() const {
 
 void Json::push_back(Json v) {
   type_check(type_ == Type::kArray, "an array");
-  array_.push_back(std::move(v));
-}
-
-void Json::reserve(std::size_t n) {
-  if (type_ == Type::kArray) {
-    array_.reserve(n);
+  if (packed_ != nullptr) {  // unpack; copies sharing the node keep it
+    array_ = packed_->built_elements();
+    packed_.reset();
   }
-}
-
-Json& Json::emplace_back() {
-  type_check(type_ == Type::kArray, "an array");
-  return array_.emplace_back();
-}
-
-void Json::assign_string(const char* data, std::size_t n) {
-  array_.clear();
-  object_.clear();
-  type_ = Type::kString;
-  string_.assign(data, n);
+  array_.push_back(std::move(v));
 }
 
 std::size_t Json::size() const {
   if (type_ == Type::kArray) {
-    return array_.size();
+    return packed_ != nullptr ? packed_->ends.size() : array_.size();
   }
   if (type_ == Type::kObject) {
     return object_.size();
@@ -115,10 +127,20 @@ std::size_t Json::size() const {
 
 const Json& Json::at(std::size_t i) const {
   type_check(type_ == Type::kArray, "an array");
-  if (i >= array_.size()) {
+  if (i >= size()) {
     fail("JSON array index out of range");
   }
-  return array_[i];
+  return packed_ != nullptr ? packed_->built_elements()[i] : array_[i];
+}
+
+void Json::string_views_into(std::vector<std::string_view>* out) const {
+  type_check(type_ == Type::kArray, "an array");
+  out->resize(size());
+  for (std::size_t i = 0; i < out->size(); ++i) {
+    (*out)[i] = packed_ != nullptr       ? packed_->view(i)
+                : array_[i].is_string() ? std::string_view(array_[i].string_)
+                                        : std::string_view();
+  }
 }
 
 void Json::set(std::string key, Json value) {
@@ -163,7 +185,7 @@ const std::vector<std::pair<std::string, Json>>& Json::members() const {
 
 namespace {
 
-void dump_string(const std::string& s, std::string* out) {
+void dump_string(std::string_view s, std::string* out) {
   out->push_back('"');
   // Bulk-append runs that need no escaping; payload strings (minterm rows,
   // output bit strings, PLA text between newlines) are almost entirely
@@ -171,7 +193,7 @@ void dump_string(const std::string& s, std::string* out) {
   std::size_t i = 0;
   while (i < s.size()) {
     const std::size_t run = find_special_byte(s.data(), i, s.size());
-    out->append(s, i, run - i);
+    out->append(s.data() + i, run - i);
     if (run >= s.size()) {
       break;
     }
@@ -246,11 +268,15 @@ void Json::dump_to(std::string* out) const {
       return;
     case Type::kArray: {
       out->push_back('[');
-      for (std::size_t i = 0; i < array_.size(); ++i) {
+      for (std::size_t i = 0; i < size(); ++i) {
         if (i > 0) {
           out->push_back(',');
         }
-        array_[i].dump_to(out);
+        if (packed_ != nullptr) {
+          dump_string(packed_->view(i), out);
+        } else {
+          array_[i].dump_to(out);
+        }
       }
       out->push_back(']');
       return;
@@ -279,11 +305,9 @@ std::string Json::dump() const {
 
 // --------------------------------------------------------------- parsing
 
-namespace {
-
-class Parser {
+class JsonParser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit JsonParser(const std::string& text) : text_(text) {}
 
   Json parse_document() {
     Json v = parse_value();
@@ -400,47 +424,10 @@ class Parser {
     }
   }
 
-  /// Counts the elements of the array starting at pos_ (first element, '['
-  /// already consumed) by scanning ahead to the matching ']'. One linear
-  /// rescan buys an exact vector reserve — for the hot eval payloads
-  /// (hundreds of row strings) that removes every reallocation move of the
-  /// ~100-byte Json elements, which costs more than the scan.
-  std::size_t count_array_elements() const {
-    std::size_t count = 1;
-    std::size_t depth = 0;
-    bool in_string = false;
-    for (std::size_t i = pos_; i < text_.size(); ++i) {
-      if (in_string) {
-        // Skip plain bytes eight at a time; a control byte stops the scan
-        // too but is ordinary here.
-        i = find_special_byte(text_.data(), i, text_.size());
-        if (i == text_.size()) {
-          break;
-        }
-        if (text_[i] == '\\') {
-          ++i;
-        } else if (text_[i] == '"') {
-          in_string = false;
-        }
-        continue;
-      }
-      const char c = text_[i];
-      if (c == '"') {
-        in_string = true;
-      } else if (c == '[' || c == '{') {
-        ++depth;
-      } else if (c == ']' || c == '}') {
-        if (depth == 0) {
-          break;
-        }
-        --depth;
-      } else if (c == ',' && depth == 0) {
-        ++count;
-      }
-    }
-    return count;
-  }
-
+  /// Arrays start packed: string elements are collected as spans until
+  /// the ']' (one PackedStrings node) or the first other element (the
+  /// strings so far become ordinary elements, and the rest parse as
+  /// values).
   Json parse_array() {
     expect('[');
     Json arr = Json::array();
@@ -449,27 +436,81 @@ class Parser {
       ++pos_;
       return arr;
     }
-    arr.reserve(count_array_elements());
-    while (true) {
-      skip_ws();
-      if (peek() == '"') {
-        // Dominant payload shape (arrays of minterm-row strings): build
-        // the string directly inside the array slot instead of moving a
-        // ~100-byte Json through return values and push_back.
-        parse_string_into(arr.emplace_back());
-      } else {
-        arr.push_back(parse_value());
-      }
-      skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (c == ']') {
+    spans_.clear();
+    decoded_.clear();
+    while (peek() == '"') {
+      parse_string_span();
+      if (end_of_element()) {
+        arr.packed_ = pack_spans();
         return arr;
       }
-      if (c != ',') {
-        fail_at("expected ',' or ']' in array");
+      skip_ws();
+    }
+    for (const Span& span : spans_) {
+      arr.array_.emplace_back(std::string(span_bytes(span)));
+    }
+    while (true) {
+      arr.array_.push_back(parse_value());
+      if (end_of_element()) {
+        return arr;
       }
     }
+  }
+
+  /// Consumes the ',' or ']' after an array element; true at the ']'.
+  bool end_of_element() {
+    skip_ws();
+    const char c = peek();
+    ++pos_;
+    if (c == ']') {
+      return true;
+    }
+    if (c != ',') {
+      fail_at("expected ',' or ']' in array");
+    }
+    return false;
+  }
+
+  /// A string element of a packed array: `size` bytes at `begin` of the
+  /// request text, or of decoded_ when the string holds escapes.
+  struct Span {
+    std::size_t begin;
+    std::size_t size;
+    bool decoded;
+  };
+
+  std::string_view span_bytes(const Span& span) const {
+    return {(span.decoded ? decoded_.data() : text_.data()) + span.begin,
+            span.size};
+  }
+
+  void parse_string_span() {
+    expect('"');
+    const std::size_t run = scan_plain_run();
+    if (run < text_.size() && text_[run] == '"') {
+      spans_.push_back({pos_, run - pos_, false});
+      pos_ = run + 1;
+      return;
+    }
+    const std::size_t begin = decoded_.size();
+    parse_string_tail(&decoded_);
+    spans_.push_back({begin, decoded_.size() - begin, true});
+  }
+
+  /// Copies the collected spans into one buffer, sized before it is filled.
+  std::shared_ptr<const Json::PackedStrings> pack_spans() const {
+    auto packed = std::make_shared<Json::PackedStrings>();
+    std::size_t total = 0;
+    for (const Span& span : spans_) {
+      total += span.size;
+    }
+    packed->bytes.reserve(total);
+    packed->ends.reserve(spans_.size());
+    for (const Span& span : spans_) {
+      packed->bytes.append(span_bytes(span));
+      packed->ends.push_back(packed->bytes.size());
+    }
+    return packed;
   }
 
   unsigned parse_hex4() {
@@ -528,35 +569,24 @@ class Parser {
       pos_ = run + 1;
       return out;
     }
-    return parse_string_tail();
-  }
-
-  /// Parses a string element straight into `out` — the fast path assigns
-  /// the bytes in place, with no intermediate std::string or Json moves.
-  void parse_string_into(Json& out) {
-    expect('"');
-    const std::size_t run = scan_plain_run();
-    if (run < text_.size() && text_[run] == '"') {
-      out.assign_string(text_.data() + pos_, run - pos_);
-      pos_ = run + 1;
-      return;
-    }
-    out = Json(parse_string_tail());
-  }
-
-  /// Escape-handling slow path; pos_ sits just past the opening quote.
-  std::string parse_string_tail() {
     std::string out;
+    parse_string_tail(&out);
+    return out;
+  }
+
+  /// Escape-handling slow path: appends the decoded string to *out; pos_
+  /// sits just past the opening quote.
+  void parse_string_tail(std::string* out) {
     while (true) {
       const std::size_t run = scan_plain_run();
-      out.append(text_, pos_, run - pos_);
+      out->append(text_, pos_, run - pos_);
       pos_ = run;
       if (pos_ >= text_.size()) {
         fail_at("unterminated string");
       }
       const char c = text_[pos_++];
       if (c == '"') {
-        return out;
+        return;
       }
       if (static_cast<unsigned char>(c) < 0x20) {
         fail_at("raw control character in string");
@@ -567,28 +597,28 @@ class Parser {
       const char e = text_[pos_++];
       switch (e) {
         case '"':
-          out.push_back('"');
+          out->push_back('"');
           break;
         case '\\':
-          out.push_back('\\');
+          out->push_back('\\');
           break;
         case '/':
-          out.push_back('/');
+          out->push_back('/');
           break;
         case 'n':
-          out.push_back('\n');
+          out->push_back('\n');
           break;
         case 'r':
-          out.push_back('\r');
+          out->push_back('\r');
           break;
         case 't':
-          out.push_back('\t');
+          out->push_back('\t');
           break;
         case 'b':
-          out.push_back('\b');
+          out->push_back('\b');
           break;
         case 'f':
-          out.push_back('\f');
+          out->push_back('\f');
           break;
         case 'u': {
           unsigned cp = parse_hex4();
@@ -607,7 +637,7 @@ class Parser {
           } else if (cp >= 0xdc00 && cp <= 0xdfff) {
             fail_at("unpaired UTF-16 surrogate");
           }
-          append_utf8(cp, &out);
+          append_utf8(cp, out);
           break;
         }
         default:
@@ -664,12 +694,14 @@ class Parser {
   const std::string& text_;
   std::size_t pos_ = 0;
   int depth_ = 0;
+  // Scratch of the array being packed; an array only recurses into a
+  // nested value after its strings have left them.
+  std::vector<Span> spans_;
+  std::string decoded_;
 };
 
-}  // namespace
-
 Json Json::parse(const std::string& text) {
-  return Parser(text).parse_document();
+  return JsonParser(text).parse_document();
 }
 
 }  // namespace lsml::server

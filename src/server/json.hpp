@@ -20,11 +20,18 @@
 // Payloads (PLA text, AIGER text) travel as ordinary JSON strings with
 // embedded "\n" escapes, which is what keeps the framing one-line-per-
 // message without a length prefix.
+//
+// An array whose elements are all strings (eval rows, eval outputs) parses
+// into one packed node instead of one Json per element: the decoded bytes
+// back to back in a single buffer plus end offsets, shared by copies.
+// string_views_into() reads it without building elements; at(i) builds
+// them once, on first use; a mutator unpacks the node first.
 
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,6 +42,8 @@ class JsonError : public std::runtime_error {
  public:
   explicit JsonError(const std::string& what) : std::runtime_error(what) {}
 };
+
+class JsonParser;
 
 class Json {
  public:
@@ -79,15 +88,14 @@ class Json {
 
   // ------------------------------------------------------------- arrays
   void push_back(Json v);
-  /// Pre-sizes an array's backing storage (no-op on other types).
-  void reserve(std::size_t n);
-  /// Appends a null element to an array and returns it (the parser's
-  /// in-place construction path).
-  Json& emplace_back();
-  /// Retypes this value as a string holding the given bytes.
-  void assign_string(const char* data, std::size_t n);
   [[nodiscard]] std::size_t size() const;
+  /// The i-th element; the reference stays valid until this array (or
+  /// the last copy sharing its packed node) is mutated or destroyed.
   [[nodiscard]] const Json& at(std::size_t i) const;
+  /// Sets *out to one view per element of this array: the string's bytes
+  /// for a string element (never a null data()), a null view for any
+  /// other. The views live as long as at(i) references do.
+  void string_views_into(std::vector<std::string_view>* out) const;
 
   // ------------------------------------------------------------ objects
   /// Appends (or replaces) a member; insertion order is dump() order.
@@ -108,6 +116,9 @@ class Json {
   static Json parse(const std::string& text);
 
  private:
+  friend class JsonParser;
+  struct PackedStrings;
+
   void dump_to(std::string* out) const;
 
   Type type_ = Type::kNull;
@@ -117,6 +128,8 @@ class Json {
   std::string string_;
   std::vector<Json> array_;
   std::vector<std::pair<std::string, Json>> object_;
+  /// Set on an array parsed with only string elements; array_ is then empty.
+  std::shared_ptr<const PackedStrings> packed_;
 };
 
 /// Index of the first byte in data[from, size) that a JSON string cannot

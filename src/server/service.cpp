@@ -453,14 +453,10 @@ void parse_rows_into_columns(const Json& rows_json, std::size_t num_pis,
                              std::size_t offset,
                              std::vector<core::BitVec>* columns,
                              const std::string& where) {
-  const std::size_t rows = rows_json.size();
   // A non-string element travels as a null view, which the kernel rejects.
-  std::vector<std::string_view> views(rows);
-  for (std::size_t row = 0; row < rows; ++row) {
-    const Json& line = rows_json.at(row);
-    views[row] = line.is_string() ? std::string_view(line.as_string())
-                                  : std::string_view();
-  }
+  std::vector<std::string_view> views;
+  rows_json.string_views_into(&views);
+  const std::size_t rows = views.size();
   const std::size_t bad = core::pack_rows_into_columns(views, offset, *columns);
   if (bad == rows) {
     return;

@@ -371,6 +371,113 @@ TEST(JsonTest, StringArrayRoundTripsArePinned) {
   EXPECT_EQ(parsed.find("k"), nullptr);
 }
 
+TEST(JsonTest, CopiesOfAParsedStringArrayDoNotSeeEachOthersPushes) {
+  const Json original = Json::parse(R"(["01","10","11"])");
+  const std::string text = original.dump();
+  Json copy = original;
+  copy.push_back(Json("00"));
+  copy.push_back(Json(std::int64_t{5}));
+  EXPECT_EQ(original.size(), 3u);
+  EXPECT_EQ(original.dump(), text);
+  EXPECT_EQ(copy.size(), 5u);
+  EXPECT_EQ(copy.dump(), R"(["01","10","11","00",5])");
+  // The other way round: the copy keeps what it had when it was taken.
+  Json grown = Json::parse(R"(["a","b"])");
+  const Json kept = grown;
+  (void)kept.at(1);
+  grown.push_back(Json("c"));
+  EXPECT_EQ(kept.dump(), R"(["a","b"])");
+  EXPECT_EQ(kept.at(1).as_string(), "b");
+  EXPECT_EQ(grown.dump(), R"(["a","b","c"])");
+}
+
+TEST(JsonTest, ArrayElementReferencesAreStable) {
+  const Json rows = Json::parse(R"(["01","10","11"])");
+  const Json* first = &rows.at(0);
+  const Json* last = &rows.at(2);
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    EXPECT_EQ(&rows.at(0), first);
+    EXPECT_EQ(&rows.at(2), last);
+    EXPECT_EQ(&rows.at(0).as_string(), &first->as_string());
+  }
+  EXPECT_EQ(first->as_string(), "01");
+  EXPECT_EQ(last->as_string(), "11");
+}
+
+TEST(JsonTest, StringViewsCoverBothArrayForms) {
+  // Parsed all-string, parsed mixed, and built with push_back: strings
+  // (empty ones too) view their bytes, other elements are null views.
+  Json built = Json::array();
+  built.push_back(Json("1\n"));
+  built.push_back(Json());
+  built.push_back(Json(""));
+  for (const Json& array :
+       {Json::parse(R"(["1\n","","x"])"), Json::parse(R"(["1\n",null,""])"),
+        built}) {
+    std::vector<std::string_view> views = {"stale", "stale", "stale", "x"};
+    array.string_views_into(&views);
+    ASSERT_EQ(views.size(), 3u) << array.dump();
+    EXPECT_EQ(views[0], "1\n");
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(views[i].data() == nullptr, !array.at(i).is_string()) << i;
+      if (array.at(i).is_string()) {
+        EXPECT_EQ(views[i], array.at(i).as_string()) << i;
+      }
+    }
+  }
+  std::vector<std::string_view> views = {"stale"};
+  Json::parse("[]").string_views_into(&views);
+  EXPECT_TRUE(views.empty());
+  EXPECT_THROW(Json::parse("\"01\"").string_views_into(&views),
+               server::JsonError);
+}
+
+TEST(JsonTest, ConcurrentReadsOfOneParsedDocumentAgree) {
+  // Four threads read one parsed document at once, each through every
+  // accessor, before any element was built; under TSan this is the race
+  // probe for the packed arrays' build-once elements.
+  constexpr int kThreads = 4;
+  std::string text = R"({"inputs":[)";
+  std::vector<std::string> rows;
+  for (int r = 0; r < 300; ++r) {
+    rows.push_back(std::to_string(r * 7919));
+    text += (r > 0 ? ",\"" : "\"") + rows.back() + "\"";
+  }
+  text += R"(],"batches":[["01","10"],["11"]]})";
+  const Json doc = Json::parse(text);
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const Json& inputs = doc.at("inputs");
+      std::vector<std::string_view> views;
+      for (int pass = 0; pass < 20; ++pass) {
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          const std::size_t r = (i * 31 + static_cast<std::size_t>(t)) %
+                                rows.size();
+          mismatches[t] += inputs.at(r).as_string() == rows[r] ? 0 : 1;
+        }
+        inputs.string_views_into(&views);
+        mismatches[t] += views.size() == rows.size() &&
+                                 views[t] == rows[static_cast<std::size_t>(t)]
+                             ? 0
+                             : 1;
+        mismatches[t] += inputs.size() == rows.size() ? 0 : 1;
+        mismatches[t] += doc.dump() == Json::parse(text).dump() ? 0 : 1;
+        mismatches[t] +=
+            doc.at("batches").at(0).at(0).as_string() == "01" ? 0 : 1;
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+}
+
 TEST(JsonTest, ModelIdRoundTrip) {
   const std::string id = server::model_id_from_hash(0x0123456789abcdefULL);
   EXPECT_EQ(id, "m-0123456789abcdef");
