@@ -89,8 +89,8 @@ class Json {
   // ------------------------------------------------------------- arrays
   void push_back(Json v);
   [[nodiscard]] std::size_t size() const;
-  /// The i-th element; the reference stays valid until this array (or
-  /// the last copy sharing its packed node) is mutated or destroyed.
+  /// The i-th element, valid until the array is mutated or destroyed (a
+  /// packed array builds all its elements once, on the first call).
   [[nodiscard]] const Json& at(std::size_t i) const;
   /// Sets *out to one view per element of this array: the string's bytes
   /// for a string element (never a null data()), a null view for any
