@@ -65,19 +65,25 @@ int main() {
               entries.size(), suite.size(), entries.size() * suite.size(),
               core::ThreadPool::default_num_threads());
 
-  portfolio::ContestOptions serial;
+  // The contest engine in memory: no result cache and no artifacts, so
+  // neither run is served from disk.
+  suite::RunnerOptions serial;
+  serial.cache_dir.clear();
+  serial.write_artifacts = false;
   serial.num_threads = 1;
-  portfolio::ContestStats serial_stats;
   std::printf("serial run (1 thread)...\n");
-  const auto serial_runs =
-      portfolio::run_contest(entries, suite, 2020, serial, &serial_stats);
+  const suite::RunnerReport serial_report =
+      suite::run_contest_on(entries, suite, serial);
+  const portfolio::ContestStats& serial_stats = serial_report.stats;
+  const std::vector<portfolio::TeamRun>& serial_runs = serial_report.runs;
 
-  portfolio::ContestOptions parallel;
+  suite::RunnerOptions parallel = serial;
   parallel.num_threads = threads;
-  portfolio::ContestStats parallel_stats;
   std::printf("parallel run (%d threads)...\n", threads);
-  const auto parallel_runs =
-      portfolio::run_contest(entries, suite, 2020, parallel, &parallel_stats);
+  const suite::RunnerReport parallel_report =
+      suite::run_contest_on(entries, suite, parallel);
+  const portfolio::ContestStats& parallel_stats = parallel_report.stats;
+  const std::vector<portfolio::TeamRun>& parallel_runs = parallel_report.runs;
 
   const bool match = identical(serial_runs, parallel_runs);
   const double speedup =

@@ -572,10 +572,6 @@ void Service::sweep_jobs(const StoredModel& model,
 
 void Service::run_eval_job(const std::string& id, const StoredModel& model,
                            const std::shared_ptr<EvalJob>& job) {
-  if (!options_.coalesce_evals) {
-    sweep_jobs(model, {job});
-    return;
-  }
   std::unique_lock<std::mutex> lock(eval_mutex_);
   std::shared_ptr<EvalFlight>& slot = eval_flights_[id];
   if (slot == nullptr) {

@@ -86,8 +86,6 @@ struct ServiceOptions {
   std::size_t model_store_bytes = 0;
   /// Store shard count (rounded up to a power of two).
   std::size_t store_shards = 8;
-  /// Coalesce concurrent same-model evals into shared sweeps.
-  bool coalesce_evals = true;
   /// On-disk second level (a suite::ResultCache); empty disables it.
   std::string cache_dir;
   /// Contest seed used when a learn request does not send one.
@@ -245,8 +243,8 @@ class Service {
   /// obs::Registry (constructor helper).
   void register_metrics();
 
-  /// Runs `job` through the per-model coalescer (or directly when
-  /// coalescing is off); on return job->outputs is filled.
+  /// Runs `job` through the per-model coalescer; on return job->outputs
+  /// is filled.
   void run_eval_job(const std::string& id, const StoredModel& model,
                     const std::shared_ptr<EvalJob>& job);
   /// One combined SimEngine sweep over every job in `batch`.

@@ -178,9 +178,10 @@ RunnerReport run_contest_on(const std::vector<portfolio::ContestEntry>& entries,
   std::vector<std::string> keys;
   keys.reserve(entries.size());
   std::unordered_set<std::string> unique_keys;
+  const bool files_by_key = cache.enabled() || options.write_artifacts;
   for (const auto& entry : entries) {
     keys.push_back(entry_key(entry));
-    if (!unique_keys.insert(keys.back()).second) {
+    if (files_by_key && !unique_keys.insert(keys.back()).second) {
       throw std::invalid_argument(
           "run_contest_on: duplicate contest entry key '" + keys.back() +
           "' (artifacts and cache rows would collide)");

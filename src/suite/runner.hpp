@@ -1,13 +1,14 @@
 #pragma once
-// Disk-backed contest runner: the engine behind `lsml run`.
+// The contest engine: the one runner of (team x benchmark) tasks, behind
+// `lsml run`, the benches and the examples.
 //
-// Loads a suite directory (one PLA triple per benchmark) and runs the
-// requested contest entries over it, sharded across core::ThreadPool with
-// the exact seeding rule of portfolio::run_contest — so a disk run of the
-// generated suite is bit-identical to the in-memory contest at any thread
-// count. Completed tasks are memoized in a ResultCache keyed by content
-// hash: a second run over unchanged inputs recomputes nothing and rewrites
-// byte-identical artifacts. Outputs:
+// Runs the requested contest entries over a suite — loaded from a
+// directory (one PLA triple per benchmark) or already in memory — sharded
+// across core::ThreadPool with the seeding rule of portfolio::contest_rng,
+// so every run is bit-identical to the serial portfolio::run_suite at any
+// thread count. Completed tasks are memoized in a ResultCache keyed by
+// content hash: a second run over unchanged inputs recomputes nothing and
+// rewrites byte-identical artifacts. Outputs:
 //   <out>/aig/<team_key>/<benchmark>.aag   synthesized circuits (AIGER)
 //   <out>/leaderboard.csv                  per-(team, benchmark) rows
 //   <out>/leaderboard.json                 Table III columns per team
@@ -31,7 +32,8 @@ struct RunnerOptions {
   /// factory name does not capture (e.g. the team grid scale), so results
   /// computed under one configuration are never served under another.
   std::uint64_t config_salt = 0;
-  /// ContestOptions convention: 1/negative serial, 0 hardware threads.
+  /// Task workers: 1/negative serial, 0 one per hardware thread, N > 1
+  /// exactly N. Never changes results.
   int num_threads = 0;
   int verbosity = 0;
   /// Skip AIGER/leaderboard files (tests and benches that only want runs).
@@ -43,9 +45,9 @@ struct RunnerOptions {
   /// task). Its experience_dir is overridden with `cache_dir` at run time
   /// so an auto run's learned scripts persist next to its results.
   synth::OptRequest opt;
-  /// Soft wall-clock budget for the whole run; 0 = unlimited. Same
-  /// contract as portfolio::ContestOptions::time_budget_ms: all tasks run
-  /// to completion, the run is only flagged in `stats`.
+  /// Soft wall-clock budget for the whole run; 0 = unlimited. All tasks
+  /// run to completion (determinism first); blowing the budget only flags
+  /// the run in `stats` (and on stderr at verbosity >= 1).
   std::int64_t time_budget_ms = 0;
 };
 
@@ -55,8 +57,8 @@ struct RunnerReport {
   int cache_hits = 0;
   int cache_misses = 0;
   double elapsed_ms = 0.0;
-  /// Same shape both contest drivers fill (tasks, elapsed, soft-budget
-  /// flag); cache hits count as completed tasks.
+  /// Tasks, elapsed time and the soft-budget flag; cache hits count as
+  /// completed tasks.
   portfolio::ContestStats stats;
   std::string leaderboard_csv_path;  ///< empty unless artifacts written
   std::string leaderboard_json_path;
@@ -66,8 +68,12 @@ struct RunnerReport {
 /// factory's registered name when set, else "team<N>".
 std::string entry_key(const portfolio::ContestEntry& entry);
 
-/// Runs `entries` over an already-loaded suite (tests and bench_common
-/// call this directly; `lsml run` goes through run_suite_dir).
+/// Runs `entries` over an already-loaded suite (tests, benches and
+/// examples call this directly; `lsml run` goes through run_suite_dir).
+/// With `cache_dir` empty and `write_artifacts` off it is a pure
+/// in-memory contest. Throws std::invalid_argument when two entries share
+/// an entry_key while the cache is enabled or artifacts are written, since
+/// their cache rows or AIGER files would collide.
 RunnerReport run_contest_on(const std::vector<portfolio::ContestEntry>& entries,
                             const std::vector<oracle::Benchmark>& suite,
                             const RunnerOptions& options);

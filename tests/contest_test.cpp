@@ -1,9 +1,12 @@
-// Contest analytics tests: aggregates, Pareto, win rates, leaderboard.
+// Contest tests: serial == parallel runs through the contest engine
+// (suite::run_contest_on, in memory), aggregates, Pareto, win rates,
+// leaderboard.
 
 #include <gtest/gtest.h>
 
 #include "learn/dt.hpp"
 #include "portfolio/contest.hpp"
+#include "suite/runner.hpp"
 
 namespace lsml::portfolio {
 namespace {
@@ -23,6 +26,16 @@ portfolio::BenchmarkResult make_result(int id, std::string bench,
   r.num_ands = num_ands;
   r.num_levels = num_levels;
   return r;
+}
+
+/// The engine as a pure in-memory contest: no result cache, no artifacts.
+suite::RunnerOptions in_memory(std::uint64_t seed, int num_threads) {
+  suite::RunnerOptions options;
+  options.cache_dir.clear();
+  options.write_artifacts = false;
+  options.seed = seed;
+  options.num_threads = num_threads;
+  return options;
 }
 
 std::vector<oracle::Benchmark> tiny_suite() {
@@ -57,9 +70,9 @@ TEST(Contest, SerialAndParallelRunsAreBitIdentical) {
   learn::DtLearner learner(dt, "dt8");
   const TeamRun serial = run_suite(learner, 42, suite, 1);
 
-  ContestOptions parallel;
-  parallel.num_threads = 8;
-  const TeamRun threaded = run_suite(factory, 42, suite, 1, parallel);
+  const TeamRun threaded =
+      suite::run_contest_on({{42, factory}}, suite, in_memory(1, 8))
+          .runs.front();
 
   ASSERT_EQ(serial.results.size(), threaded.results.size());
   for (std::size_t i = 0; i < serial.results.size(); ++i) {
@@ -79,11 +92,10 @@ TEST(Contest, RunContestMatchesPerTeamSerialRuns) {
   const auto suite = tiny_suite();
   const auto factory = learn::LearnerFactory::from_registry("dt8");
 
-  ContestOptions options;
-  options.num_threads = 4;
-  ContestStats stats;
-  const auto runs = run_contest({{1, factory}, {2, factory}}, suite, 7,
-                                options, &stats);
+  const suite::RunnerReport report = suite::run_contest_on(
+      {{1, factory}, {2, factory}}, suite, in_memory(7, 4));
+  const std::vector<TeamRun>& runs = report.runs;
+  const ContestStats& stats = report.stats;
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(stats.tasks_completed, 4);
   EXPECT_GT(stats.elapsed_ms, 0.0);
@@ -109,21 +121,20 @@ TEST(Contest, RunContestMatchesPerTeamSerialRuns) {
 TEST(Contest, TimeBudgetIsReportedConsistently) {
   const auto suite = tiny_suite();
   const auto factory = learn::LearnerFactory::from_registry("dt8");
-  ContestOptions options;
-  options.num_threads = 2;
+  suite::RunnerOptions options = in_memory(1, 2);
   options.time_budget_ms = 1;  // tight enough that real runs usually blow it
-  ContestStats stats;
-  const auto runs = run_suite(factory, 3, suite, 1, options, &stats);
-  EXPECT_EQ(runs.results.size(), suite.size()) << "all tasks still run";
+  const suite::RunnerReport report =
+      suite::run_contest_on({{3, factory}}, suite, options);
+  const ContestStats& stats = report.stats;
+  EXPECT_EQ(report.runs.front().results.size(), suite.size())
+      << "all tasks still run";
   // The flag is defined by the contract, not by how fast this machine is.
   EXPECT_EQ(stats.budget_exceeded,
             stats.elapsed_ms > static_cast<double>(options.time_budget_ms));
 
-  ContestOptions unlimited;
-  unlimited.num_threads = 2;
-  ContestStats unlimited_stats;
-  run_suite(factory, 3, suite, 1, unlimited, &unlimited_stats);
-  EXPECT_FALSE(unlimited_stats.budget_exceeded) << "0 means no budget";
+  const suite::RunnerReport unlimited =
+      suite::run_contest_on({{3, factory}}, suite, in_memory(1, 2));
+  EXPECT_FALSE(unlimited.stats.budget_exceeded) << "0 means no budget";
 }
 
 TEST(Contest, OverfitIsValidMinusTest) {

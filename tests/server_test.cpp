@@ -1031,25 +1031,6 @@ TEST(ServiceTest, ConcurrentSameModelEvalsCoalesceIntoFewerSweeps) {
   EXPECT_GE(service.stats().eval_coalesced.load(), evals - sweeps);
 }
 
-TEST(ServiceTest, CoalescingOffRunsOneSweepPerEval) {
-  ServiceOptions options;
-  options.coalesce_evals = false;
-  Service service(options);
-  const Json learned = handle(
-      service,
-      learn_request(pla_for(2, [](std::uint32_t r) { return r == 1; })));
-  Json request = make_request("eval");
-  request.set("model", learned.at("model").as_string());
-  Json inputs = Json::array();
-  inputs.push_back(Json("10"));
-  request.set("inputs", std::move(inputs));
-  const std::string line = request.dump();
-  const std::string first = service.handle_line(line);
-  EXPECT_EQ(service.handle_line(line), first);
-  EXPECT_EQ(service.stats().eval_sweeps.load(), 2u);
-  EXPECT_EQ(service.stats().eval_coalesced.load(), 0u);
-}
-
 TEST(ServiceTest, SynthOptimizesAndStaysEquivalent) {
   Service service;
   core::Rng rng(7);

@@ -380,8 +380,8 @@ TEST_F(SuiteRunner, HonorsTheSoftTimeBudget) {
   const RunnerReport report = run_suite_dir(suite_dir, entries(), options);
   ASSERT_EQ(report.runs.size(), 2u);
   EXPECT_EQ(report.runs[0].results.size(), 1u) << "all tasks still run";
-  // Same contract as portfolio::run_contest: defined by elapsed vs budget,
-  // not by how fast this machine happens to be.
+  // Defined by elapsed vs budget (portfolio::finalize_contest_stats), not
+  // by how fast this machine happens to be.
   EXPECT_EQ(report.stats.budget_exceeded,
             report.stats.elapsed_ms >
                 static_cast<double>(options.time_budget_ms));
@@ -437,14 +437,35 @@ TEST_F(SuiteRunner, DuplicateEntryKeysRejected) {
   gen.last = 0;
   gen.rows_per_split = 30;
   generate_suite(suite_dir, gen);
+  const std::vector<oracle::Benchmark> benchmarks = load_suite(suite_dir);
   const std::vector<portfolio::ContestEntry> dup = {
       {1, learn::LearnerFactory::from_registry("dt")},
       {2, learn::LearnerFactory::from_registry("dt")}};
-  RunnerOptions options;
-  options.write_artifacts = false;
-  options.cache_dir.clear();
-  EXPECT_THROW(run_suite_dir(suite_dir, dup, options),
+  // Cache rows are filed under the entry key: two entries sharing it
+  // would overwrite each other's rows.
+  RunnerOptions cached;
+  cached.write_artifacts = false;
+  cached.cache_dir = fresh_dir("dup_cache");
+  EXPECT_THROW(run_contest_on(dup, benchmarks, cached),
                std::invalid_argument);
+
+  // So are the AIGER artifacts (aig/<key>/<benchmark>.aag).
+  RunnerOptions written;
+  written.out_dir = fresh_dir("dup_out");
+  written.cache_dir.clear();
+  EXPECT_THROW(run_contest_on(dup, benchmarks, written),
+               std::invalid_argument);
+
+  // With neither, nothing is filed by key: an in-memory contest may enter
+  // one factory under two team numbers.
+  RunnerOptions in_memory;
+  in_memory.write_artifacts = false;
+  in_memory.cache_dir.clear();
+  const RunnerReport report = run_contest_on(dup, benchmarks, in_memory);
+  ASSERT_EQ(report.runs.size(), 2u);
+  EXPECT_EQ(report.runs[0].team, 1);
+  EXPECT_EQ(report.runs[1].team, 2);
+  EXPECT_EQ(report.stats.tasks_completed, 2);
 }
 
 }  // namespace

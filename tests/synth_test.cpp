@@ -13,6 +13,7 @@
 #include "portfolio/contest.hpp"
 #include "synth/pass_manager.hpp"
 #include "synth/script.hpp"
+#include "synth/script_search.hpp"
 
 namespace lsml::synth {
 namespace {
@@ -215,7 +216,7 @@ TEST(PassManager, EachContestTaskRunsThePipelineExactlyOnce) {
       << "one task, one pipeline invocation (got "
       << PassManager::runs_executed() << ")";
   EXPECT_FALSE(result.synth_trace.empty());
-  EXPECT_LE(result.num_ands, default_pipeline().options.node_budget);
+  EXPECT_LE(result.num_ands, default_opt_request().options.node_budget);
   EXPECT_EQ(result.synth_ands_in(), result.synth_trace.front().ands_before);
   PassManager::clear_memo();
 }
@@ -245,9 +246,9 @@ class RogueLearner final : public learn::Learner {
 }  // namespace
 
 TEST(PassManager, EvaluateOnEnforcesTheArtifactBudget) {
-  Pipeline small = default_pipeline();
+  OptRequest small = default_opt_request();
   small.options.node_budget = 100;
-  const ScopedPipeline scoped(small);
+  const ScopedOptRequest scoped(small);
 
   oracle::SuiteOptions suite_options;
   suite_options.rows_per_split = 64;
